@@ -212,7 +212,7 @@ void LocalizationSweep(const Trace& trace) {
 }
 
 // ---------------------------------------------------------------------------
-// Part C: parallel engine, thread-count x fabric-size sweep.
+// Part C: fabric engine, thread-count x fabric-size sweep.
 
 /// Sum-of-worker-busy over max-worker-busy from the `net.parallel.busy_ns.*`
 /// counters of the runs since the last obs reset: how much concurrent work
@@ -283,7 +283,9 @@ void FabricSweep(const Trace& trace, double min_time,
       row.ns_per_item = wall_ns / (double(agg_pkts) * rounds);
       row.items_per_sec = 1e9 / row.ns_per_item;
       row.threads = int(threads);
-      if (threads > 0) {
+      // threads <= 1 sweeps on the calling thread: no pool, no busy
+      // counters, nothing to compare against.
+      if (threads > 1) {
         row.critical_path_speedup = CriticalPathSpeedup(threads);
       }
       std::printf("%16s %8zu %7d %9llu %8.1f %10.3f %6.2f\n", fab.name,
@@ -324,7 +326,7 @@ int main(int argc, char** argv) {
   std::printf("\n(The exact instrument charges every drop to the armed link; "
               "shrinking hash tables add collision phantoms — the residual "
               "error is the app's, not the window mechanism's.)\n");
-  std::printf("\n-- Part C: parallel engine, thread x fabric sweep "
+  std::printf("\n-- Part C: fabric engine, thread x fabric sweep "
               "(conservative lookahead, bit-identical windows) --\n");
   FabricSweep(trace, min_time, out_path);
   return 0;

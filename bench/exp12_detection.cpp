@@ -10,8 +10,8 @@
 //
 // Part A scores the detector on a line fabric and a leaf-spine fabric.
 // Part B re-runs the leaf-spine fabric across merge_threads x engine
-// threads and asserts the alert stream is bit-identical to the sequential
-// single-merge-thread reference (the PR 1/6 determinism discipline).
+// threads and asserts the alert stream is bit-identical to the
+// caller-thread (threads=0), single-merge-thread reference.
 //
 // Emits BENCH_detect.json (--out=) and exits non-zero if leaf-spine
 // precision < 0.9, recall < 0.8, or any determinism cell mismatches —

@@ -77,11 +77,12 @@ struct NetworkRunConfig {
   /// historical line behavior. Targeted arming gives localization tests a
   /// single known-lossy link as ground truth.
   int fault_link_index = -1;
-  /// Execution engine for the fabric drive: threads == 0 is the sequential
-  /// engine, threads >= 1 the conservative-lookahead worker pool. Windows,
-  /// stats, and link counters are bit-identical across thread counts
-  /// (parallel_fabric_test); `detect` callbacks must be thread-safe under
-  /// a parallel drive (per-switch window handlers may run concurrently).
+  /// Thread count for the fabric drive: threads <= 1 sweeps every switch
+  /// on the calling thread, threads >= 2 on a worker pool of that size
+  /// (docs/parallel_execution.md). Windows, stats, and link counters are
+  /// bit-identical across thread counts (parallel_fabric_test); `detect`
+  /// callbacks must be thread-safe under a pooled drive (per-switch window
+  /// handlers may run concurrently).
   ParallelConfig parallel;
   /// Always-on streaming consumer: invoked for every completed window of
   /// every controller, with the owning switch's index, while the window's

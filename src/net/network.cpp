@@ -18,18 +18,18 @@ namespace {
 /// the Nanos ceiling that adding any link lookahead cannot overflow.
 constexpr Nanos kNeverNs = std::numeric_limits<Nanos>::max() / 4;
 
+/// Events one RunBatch slice may dispatch before the switch republishes its
+/// committed time, so an upstream switch pipelines into its downstream
+/// shards instead of running its whole backlog before publishing progress.
+constexpr std::size_t kBatchEvents = 1024;
+
 }  // namespace
 
 Switch* Network::AddSwitch(SwitchTimings timings, Nanos clock_deviation) {
   const std::size_t idx = nodes_.size();
   nodes_.push_back(
       std::make_unique<Node>(clock_, clock_deviation, int(idx), timings));
-  Switch* sw = nodes_.back()->sw.get();
-  // Every ingress path (wire, controller, staged) funnels through the
-  // activity hook, so the sequential scan list stays correct even for
-  // switches wired up manually with raw Links instead of Connect.
-  sw->SetActivityListener([this, idx] { MarkActive(idx); });
-  return sw;
+  return nodes_.back()->sw.get();
 }
 
 LocalClock& Network::ClockOf(const Switch* sw) {
@@ -37,17 +37,6 @@ LocalClock& Network::ClockOf(const Switch* sw) {
     if (node->sw.get() == sw) return node->clock;
   }
   throw std::invalid_argument("Network::ClockOf: unknown switch");
-}
-
-void Network::MarkActive(std::size_t idx) {
-  // Parallel workers sweep their shards unconditionally; the active list
-  // is sequential-engine state and must not be touched from worker
-  // threads.
-  if (parallel_running_.load(std::memory_order_relaxed)) return;
-  Node& node = *nodes_[idx];
-  if (node.in_active) return;
-  node.in_active = true;
-  active_.push_back(idx);
 }
 
 std::size_t Network::NodeIndexOf(const Switch* sw, const char* where) const {
@@ -79,8 +68,7 @@ Link* Network::Connect(Switch* a, Switch* b, LinkParams params,
   if (params.latency <= 0) {
     // Zero-latency inter-switch links would let a switch schedule work for
     // a neighbor at the very timestamp the neighbor may already have
-    // batched past (sequential bound) or committed past (parallel
-    // horizon).
+    // committed past (its horizon would not advance beyond the sender's).
     throw std::invalid_argument(
         "Network::Connect: inter-switch links need positive latency");
   }
@@ -133,76 +121,102 @@ Link* Network::ConnectToSink(Switch* a, LinkParams params, Link::Deliver sink,
 }
 
 Nanos Network::RunUntilQuiescent(Nanos max_time) {
-  if (parallel_.threads > 0 && !nodes_.empty()) return RunParallel(max_time);
-  return RunSequential(max_time);
+  const std::size_t nthreads = std::min(parallel_.threads, nodes_.size());
+  if (nthreads <= 1) return RunOnCaller(max_time);
+  return RunPooled(max_time, nthreads);
 }
 
-Nanos Network::RunSequential(Nanos max_time) {
-  Nanos last = -1;
-  while (true) {
-    // Pick the switch with the earliest pending event, and the next-earliest
-    // pending time among the OTHER switches. The earliest switch may batch
-    // all the way to that bound: links only ever schedule downstream
-    // arrivals strictly after the causing event (positive latency, enforced
-    // by Connect), so no other device — however many upstream links feed it
-    // — can create work for the earliest switch before `bound`, and
-    // per-switch event order — the only order that matters, device state is
-    // per-switch — is untouched. The argument is topology-free: `others`
-    // ranges over every other device, so multi-downstream fan-out and
-    // fan-in tighten the bound but never invalidate it.
-    //
-    // Only switches that have signalled activity are scanned (quiescence
-    // detection is O(active), not O(fabric)); a drained switch drops out of
-    // the list here and re-enters through its activity hook. Ties on the
-    // pending time resolve to the smallest switch id — exactly what the
-    // historical full scan in id order produced — so direct-enqueue seq
-    // interleavings are engine-version-stable.
-    std::size_t best = std::size_t(-1);
-    Nanos best_t = -1;
-    Nanos others = -1;
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < active_.size(); ++r) {
-      const std::size_t idx = active_[r];
-      const Nanos pend = nodes_[idx]->sw->EarliestPendingTime();
-      if (pend < 0) {
-        nodes_[idx]->in_active = false;
-        continue;
-      }
-      active_[w++] = idx;
-      if (pend > max_time) continue;
-      if (best == std::size_t(-1) || pend < best_t ||
-          (pend == best_t && idx < best)) {
-        if (best != std::size_t(-1) && (others < 0 || best_t < others)) {
-          others = best_t;
+bool Network::HasPendingThrough(Nanos max_time) const {
+  for (const auto& node : nodes_) {
+    const Nanos pend = node->sw->EarliestPendingTime();
+    if (pend >= 0 && pend <= max_time) return true;
+  }
+  return false;
+}
+
+bool Network::Sweep(std::size_t first, std::size_t stride, Nanos max_time,
+                    Nanos& last, obs::Histogram& stalls) {
+  // One pass over switches first, first + stride, ... The order of
+  // operations inside a node pass is load-bearing:
+  //   1. read upstream committed times (acquire) -> horizon;
+  //   2. drain the SPSC inboxes. Any arrival at or before the horizon was
+  //      pushed before its producer's CT release-advanced past it, so the
+  //      acquire read in (1) guarantees the drain sees it — draining
+  //      before reading CTs would leave a window where a packet inside
+  //      the commit bound is missed.
+  //   3. commit staged arrivals <= bound and run, publishing CT between
+  //      slices so downstream switches pipeline behind this one;
+  //   4. publish pending_min for the pool's termination detection.
+  bool worked = false;
+  for (std::size_t idx = first; idx < nodes_.size(); idx += stride) {
+    Node& node = *nodes_[idx];
+    Switch* sw = node.sw.get();
+    Nanos h = kNeverNs;
+    for (const WireEndpoint* ep : node.ingress) {
+      const Nanos up =
+          nodes_[std::size_t(ep->src_node)]->ct.load(std::memory_order_acquire);
+      const Nanos cand = up >= kNeverNs ? kNeverNs : up + ep->lookahead;
+      if (cand < h) h = cand;
+    }
+    for (WireEndpoint* ep : node.ingress) {
+      if (!ep->inbox) continue;
+      while (WireMsg* msg = ep->inbox->Front()) {
+        // Lower pending_min BEFORE consuming: the termination checker
+        // must never observe the queue empty while the packet is not
+        // yet visible through this node's pending work.
+        if (msg->arrival < node.pending_min.load(std::memory_order_relaxed)) {
+          node.pending_min.store(msg->arrival, std::memory_order_release);
         }
-        best = idx;
-        best_t = pend;
-      } else if (others < 0 || pend < others) {
-        others = pend;
+        sw->StageFromWire(std::move(msg->packet), msg->arrival, ep->ordinal,
+                          msg->tx);
+        ep->inbox->PopFront();
+        worked = true;
       }
     }
-    active_.resize(w);
-    if (best == std::size_t(-1)) break;
-    const Nanos bound = others < 0 ? max_time : others;
-    Switch* sw = nodes_[best]->sw.get();
-    // Wave-partition contract (Switch::CommitStagedThrough): every other
-    // device's pending time is >= bound, so any arrival it later sends
-    // lands strictly after bound — nothing at or before bound can still be
-    // staged after this call.
-    sw->CommitStagedThrough(bound);
-    sw->RunBatch(bound);
-    if (sw->last_event_time() > last) last = sw->last_event_time();
-    clock_.AdvanceTo(sw->last_event_time());
+    // An arrival exactly at the horizon is possible (upstream dispatch
+    // at its committed time), hence the -1.
+    const Nanos bound = std::min(h - 1, max_time);
+    bool node_ran = false;
+    if (sw->CommitStagedThrough(bound) > 0) worked = true;
+    while (true) {
+      const std::size_t ran = sw->RunBatch(bound, kBatchEvents);
+      if (ran > 0) {
+        worked = true;
+        node_ran = true;
+        if (sw->last_event_time() > last) last = sw->last_event_time();
+      }
+      const Nanos pend_mid = sw->EarliestPendingTime();
+      const Nanos ct_new = std::min(pend_mid < 0 ? kNeverNs : pend_mid, h);
+      if (ct_new > node.ct.load(std::memory_order_relaxed)) {
+        node.ct.store(ct_new, std::memory_order_release);
+      }
+      if (ran < kBatchEvents) break;
+    }
+    const Nanos pend = sw->EarliestPendingTime();
+    node.pending_min.store(pend < 0 ? kNeverNs : pend,
+                           std::memory_order_release);
+    if (!node_ran && pend >= 0 && pend > bound && pend <= max_time) {
+      stalls.Record(std::uint64_t(pend - bound));
+    }
   }
+  return worked;
+}
+
+Nanos Network::RunOnCaller(Nanos max_time) {
+  obs::Histogram& stalls =
+      obs::Global().GetHistogram("net.parallel.horizon_stall_ns");
+  // ct = 0 is always a valid lower bound; the sweeps raise it to
+  // min(pending, horizon) and it only ever grows from there. Without
+  // handoff queues nothing is in flight between sweeps, so the switches'
+  // own pending work is the whole termination condition.
+  for (auto& node : nodes_) node->ct.store(0, std::memory_order_relaxed);
+  Nanos last = -1;
+  while (HasPendingThrough(max_time)) Sweep(0, 1, max_time, last, stalls);
+  clock_.AdvanceTo(last);
   return last;
 }
 
-Nanos Network::RunParallel(Nanos max_time) {
-  const std::size_t nthreads =
-      std::max<std::size_t>(1, std::min(parallel_.threads, nodes_.size()));
-  const std::size_t batch_events =
-      std::max<std::size_t>(1, parallel_.batch_events);
-
+Nanos Network::RunPooled(Nanos max_time, std::size_t nthreads) {
   // Cross-shard links get an SPSC inbox for this run; same-shard links keep
   // staging directly (producer and consumer share a worker).
   std::vector<std::unique_ptr<SpscQueue<WireMsg>>> queues;
@@ -214,8 +228,6 @@ Nanos Network::RunParallel(Nanos max_time) {
     }
   }
   for (auto& node : nodes_) {
-    // ct = 0 is always a valid lower bound; the first sweeps raise it to
-    // min(pending, horizon) and it only ever grows from there.
     node->ct.store(0, std::memory_order_relaxed);
     const Nanos pend = node->sw->EarliestPendingTime();
     node->pending_min.store(pend < 0 ? kNeverNs : pend,
@@ -224,8 +236,7 @@ Nanos Network::RunParallel(Nanos max_time) {
 
   obs::Registry& reg = obs::Global();
   obs::Counter* idle_spins = &reg.GetCounter("net.parallel.idle_spins");
-  obs::Histogram* stall_hist =
-      &reg.GetHistogram("net.parallel.horizon_stall_ns");
+  obs::Histogram& stalls = reg.GetHistogram("net.parallel.horizon_stall_ns");
   std::vector<obs::Counter*> busy(nthreads);
   for (std::size_t i = 0; i < nthreads; ++i) {
     busy[i] = &reg.GetCounter("net.parallel.busy_ns.w" + std::to_string(i));
@@ -235,83 +246,11 @@ Nanos Network::RunParallel(Nanos max_time) {
   std::atomic<std::uint64_t> progress{0};
   std::vector<Nanos> worker_last(nthreads, -1);
 
-  parallel_running_.store(true, std::memory_order_release);
-
-  // One pass over every switch the worker owns. The order of operations
-  // inside a node pass is load-bearing:
-  //   1. read upstream committed times (acquire) -> horizon;
-  //   2. drain the SPSC inboxes. Any arrival at or before the horizon was
-  //      pushed before its producer's CT release-advanced past it, so the
-  //      acquire read in (1) guarantees the drain sees it — draining
-  //      before reading CTs would leave a window where a packet inside
-  //      the commit bound is missed.
-  //   3. commit staged arrivals <= bound and run, publishing CT between
-  //      slices so downstream shards pipeline behind this one;
-  //   4. publish pending_min for termination detection.
-  auto sweep = [&](std::size_t w, Nanos& local_last) -> bool {
-    bool worked = false;
-    for (std::size_t idx = w; idx < nodes_.size(); idx += nthreads) {
-      Node& node = *nodes_[idx];
-      Switch* sw = node.sw.get();
-      Nanos h = kNeverNs;
-      for (const WireEndpoint* ep : node.ingress) {
-        const Nanos up =
-            nodes_[std::size_t(ep->src_node)]->ct.load(std::memory_order_acquire);
-        const Nanos cand = up >= kNeverNs ? kNeverNs : up + ep->lookahead;
-        if (cand < h) h = cand;
-      }
-      for (WireEndpoint* ep : node.ingress) {
-        if (!ep->inbox) continue;
-        while (WireMsg* msg = ep->inbox->Front()) {
-          // Lower pending_min BEFORE consuming: the termination checker
-          // must never observe the queue empty while the packet is not
-          // yet visible through this node's pending work.
-          if (msg->arrival < node.pending_min.load(std::memory_order_relaxed)) {
-            node.pending_min.store(msg->arrival, std::memory_order_release);
-          }
-          sw->StageFromWire(std::move(msg->packet), msg->arrival, ep->ordinal,
-                            msg->tx);
-          ep->inbox->PopFront();
-          worked = true;
-        }
-      }
-      // An arrival exactly at the horizon is possible (upstream dispatch
-      // at its committed time), hence the -1.
-      const Nanos bound = std::min(h - 1, max_time);
-      bool node_ran = false;
-      if (sw->CommitStagedThrough(bound) > 0) worked = true;
-      while (true) {
-        const std::size_t ran = sw->RunBatch(bound, batch_events);
-        if (ran > 0) {
-          worked = true;
-          node_ran = true;
-          if (sw->last_event_time() > local_last) {
-            local_last = sw->last_event_time();
-          }
-        }
-        const Nanos pend_mid = sw->EarliestPendingTime();
-        const Nanos ct_new =
-            std::min(pend_mid < 0 ? kNeverNs : pend_mid, h);
-        if (ct_new > node.ct.load(std::memory_order_relaxed)) {
-          node.ct.store(ct_new, std::memory_order_release);
-        }
-        if (ran < batch_events) break;
-      }
-      const Nanos pend = sw->EarliestPendingTime();
-      node.pending_min.store(pend < 0 ? kNeverNs : pend,
-                             std::memory_order_release);
-      if (!node_ran && pend >= 0 && pend > bound && pend <= max_time) {
-        stall_hist->Record(std::uint64_t(pend - bound));
-      }
-    }
-    return worked;
-  };
-
   // Quiescent iff nothing is pending within max_time, every handoff queue
   // is drained, and no worker made progress across the double read. The
   // check may rarely pass while work is in flight (the progress bump is
-  // published after the work); the sequential epilogue below makes that a
-  // performance footnote, not a correctness hazard.
+  // published after the work); the caller-thread epilogue below makes that
+  // a performance footnote, not a correctness hazard.
   auto quiescent = [&]() -> bool {
     const std::uint64_t p1 = progress.load(std::memory_order_acquire);
     for (const auto& node : nodes_) {
@@ -332,7 +271,7 @@ Nanos Network::RunParallel(Nanos max_time) {
       Nanos local_last = -1;
       while (!done.load(std::memory_order_acquire)) {
         const std::uint64_t t0 = obs::NowNs();
-        if (sweep(w, local_last)) {
+        if (Sweep(w, nthreads, max_time, local_last, stalls)) {
           busy[w]->Add(obs::NowNs() - t0);
           progress.fetch_add(1, std::memory_order_release);
         } else {
@@ -349,13 +288,11 @@ Nanos Network::RunParallel(Nanos max_time) {
   }
   for (std::thread& t : workers) t.join();
 
-  parallel_running_.store(false, std::memory_order_relaxed);
-
-  // Unconditional sequential epilogue: joining the workers is a full
-  // synchronization point, so everything they staged/committed is visible
-  // here. Drain any residue a false-positive termination left behind (the
+  // Unconditional epilogue: joining the workers is a full synchronization
+  // point, so everything they staged/committed is visible here. Stage any
+  // residue a false-positive termination left in the inboxes (the
   // canonical commit order makes these late commits land exactly where
-  // they belong) and let the sequential engine finish the run.
+  // they belong) and let the caller-thread sweep finish the run.
   for (auto& ep : endpoints_) {
     if (!ep->inbox) continue;
     while (WireMsg* msg = ep->inbox->Front()) {
@@ -364,11 +301,6 @@ Nanos Network::RunParallel(Nanos max_time) {
       ep->inbox->PopFront();
     }
     ep->inbox = nullptr;
-  }
-  active_.clear();
-  for (auto& node : nodes_) node->in_active = false;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i]->sw->EarliestPendingTime() >= 0) MarkActive(i);
   }
 
   Nanos last = -1;
@@ -383,10 +315,9 @@ Nanos Network::RunParallel(Nanos max_time) {
     // wall-clock/schedule dependent; A/B comparisons exclude the prefix.)
     obs::ScopedTimerNs epilogue_timer(
         reg.GetCounter("net.parallel.epilogue_ns"));
-    tail = RunSequential(max_time);
+    tail = RunOnCaller(max_time);
   }
-  if (tail > last) last = tail;
-  return last;
+  return std::max(last, tail);
 }
 
 Switch::ForwardingPolicy MakeEcmpPolicy(std::vector<int> ports,
@@ -429,10 +360,6 @@ void Network::Load(SnapshotReader& r) {
   for (const auto& link : links_) link->Load(r);
   for (const auto& ep : endpoints_) ep->tx = r.U64();
   for (const auto& node : nodes_) node->sw->Load(r);
-  // Restored lanes hold work the activity listener never saw; put every
-  // switch on the sequential engine's scan list (the parallel engine
-  // sweeps all shards regardless).
-  for (std::size_t i = 0; i < nodes_.size(); ++i) MarkActive(i);
 }
 
 }  // namespace ow

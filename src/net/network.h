@@ -1,33 +1,31 @@
 // Multi-switch network orchestration.
 //
-// Network owns a set of switches and drives them with one of two engines
-// that produce bit-identical results (docs/parallel_execution.md):
+// Network owns a set of switches and drives them with one engine,
+// conservative lookahead (docs/parallel_execution.md). A sweep visits each
+// switch and advances it only to its horizon: the minimum over ingress
+// links of the upstream switch's published committed time plus the link's
+// lookahead (upstream pipeline latency + link propagation floor). So a
+// switch never executes past an event an upstream switch could still emit.
 //
-//   * Sequential (ParallelConfig::threads == 0, the default): repeatedly
-//     pick the switch with the earliest pending event and batch it up to
-//     the minimum next-event time over every OTHER switch. Because every
-//     handler schedules downstream arrivals strictly later (inter-switch
-//     links must have positive latency; Connect enforces it), processing
-//     the globally-earliest device first preserves causality without a
-//     shared event queue — for arbitrary directed topologies, not just
-//     chains. An activity-driven skip list keeps the per-batch scan
-//     proportional to the number of switches that actually have work, not
-//     the fabric size.
-//
-//   * Parallel (threads >= 1): conservative-lookahead workers. Switches
-//     are sharded round-robin across a thread pool; each shard advances a
-//     switch only to its horizon — the minimum over ingress links of the
-//     upstream switch's published committed-time plus the link's lookahead
-//     (upstream pipeline latency + link propagation floor) — so a shard
-//     never executes past an event an upstream shard could still emit.
-//     Cross-shard wire packets travel through per-link SPSC handoff
-//     queues; same-shard and sequential deliveries stage directly.
+//   * ParallelConfig::threads <= 1 (the default 0): the caller thread
+//     sweeps every switch in id order until no switch has work at or
+//     before the run's end time. No threads, no handoff queues.
+//   * threads >= 2: switches are sharded round-robin across a worker pool,
+//     each worker sweeping its shard. Cross-shard wire packets travel
+//     through per-link SPSC handoff queues; same-shard deliveries stage
+//     directly. After the pool joins, the caller-thread sweep finishes
+//     whatever a racy termination check left behind.
 //
 // Either way, wire arrivals are staged per switch and committed in one
 // canonical (time, ingress-link ordinal, per-link tx index) order with
 // deterministically assigned sequence numbers, which is what makes window
-// contents, link stats and obs totals independent of the engine and of the
-// thread count (see Switch::CommitStagedThrough).
+// contents, link stats and obs totals independent of the thread count (see
+// Switch::CommitStagedThrough).
+//
+// Contract every run depends on: switch-to-switch delivery goes through
+// Connect (the horizon only knows about Connect links), and controller
+// handlers inject only into the switch that produced the report (they run
+// inline wherever that switch is being swept).
 //
 // Topology model: each switch exposes dense integer egress ports. Connect
 // wires one port of `a` into `b` (or a sink); fan-out is multiple ports on
@@ -48,24 +46,17 @@
 #include "src/common/hash.h"
 #include "src/net/link.h"
 #include "src/net/spsc.h"
+#include "src/obs/obs.h"
 #include "src/switchsim/pipeline.h"
 
 namespace ow {
 
-/// Execution knobs for Network::RunUntilQuiescent. `threads == 0` keeps
-/// the sequential engine; `threads >= 1` runs the conservative-lookahead
-/// worker pool (1 is a valid degenerate pool, useful for A/B testing the
-/// parallel machinery itself). `batch_events` bounds each drain slice
-/// between committed-time publications so an upstream shard pipelines into
-/// its downstream shards instead of running the whole trace before
-/// publishing progress.
-///
-/// Requirement in parallel mode: controller handlers must only inject into
-/// the switch that produced the report (true for everything src/core
-/// builds) — controllers run inline on the worker that owns their switch.
+/// Execution knobs for Network::RunUntilQuiescent. `threads <= 1` sweeps
+/// every switch on the caller thread; `threads >= 2` shards the switches
+/// across that many workers (capped at the switch count). Results are
+/// bit-identical for every value.
 struct ParallelConfig {
   std::size_t threads = 0;
-  std::size_t batch_events = 1024;
 };
 
 class Network {
@@ -90,8 +81,8 @@ class Network {
   /// Wire egress `port` of `a` into b over a link. Returns the link for
   /// stats inspection. `port = kAutoPort` picks the lowest free port;
   /// connecting an explicitly named occupied port throws (no silent
-  /// overwrite). Links between switches must have positive latency — both
-  /// engines rely on downstream arrivals being strictly later than their
+  /// overwrite). Links between switches must have positive latency — the
+  /// horizon relies on downstream arrivals being strictly later than their
   /// cause. Both switches must belong to this network. Passing no seed
   /// derives a per-link seed from the network base seed.
   Link* Connect(Switch* a, Switch* b, LinkParams params,
@@ -99,7 +90,8 @@ class Network {
                 int port = kAutoPort);
 
   /// Wire egress `port` of `a` to a sink callback over a link (last hop).
-  /// In parallel mode the sink runs on the worker that owns `a`.
+  /// The sink runs on whichever thread sweeps `a`. It must not deliver into
+  /// another switch of this network; use Connect for that.
   Link* ConnectToSink(Switch* a, LinkParams params, Link::Deliver sink,
                       std::optional<std::uint64_t> seed = std::nullopt,
                       int port = kAutoPort);
@@ -115,7 +107,7 @@ class Network {
   };
   const std::vector<LinkInfo>& links() const noexcept { return link_infos_; }
 
-  /// Select the execution engine for subsequent RunUntilQuiescent calls.
+  /// Set the thread count for subsequent RunUntilQuiescent calls.
   void SetParallel(ParallelConfig cfg) noexcept { parallel_ = cfg; }
   const ParallelConfig& parallel() const noexcept { return parallel_; }
 
@@ -131,8 +123,7 @@ class Network {
   /// per-endpoint tx counters and every switch's event lanes. Topology,
   /// handlers and seeds are configuration; the restoring side rebuilds the
   /// identical topology (same construction order) before calling Load,
-  /// which verifies the shape and marks every switch active so the
-  /// sequential engine rescans restored work.
+  /// which verifies the shape.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
@@ -177,12 +168,11 @@ class Network {
     std::unique_ptr<Switch> sw;
     LocalClock clock;
     std::vector<WireEndpoint*> ingress;  ///< fabric ingress, ordinal order
-    bool in_active = false;  ///< member of active_ (sequential engine)
     /// Published lower bound on this switch's future dispatch times
-    /// (parallel engine; release-stored by the owning worker).
+    /// (release-stored by the sweeping thread).
     alignas(64) std::atomic<Nanos> ct{0};
     /// Earliest pending work (lanes + staged + drained-but-uncommitted),
-    /// for termination detection. Owner-written.
+    /// for the pool's termination detection. Owner-written.
     std::atomic<Nanos> pending_min{0};
   };
 
@@ -197,12 +187,19 @@ class Network {
   /// Node index of an owned switch (ids are dense indices); throws for
   /// switches this network did not create.
   std::size_t NodeIndexOf(const Switch* sw, const char* where) const;
-  /// Activity hook: adds the switch to the sequential engine's scan list.
-  /// No-op while parallel workers run (they sweep their shards directly).
-  void MarkActive(std::size_t idx);
 
-  Nanos RunSequential(Nanos max_time);
-  Nanos RunParallel(Nanos max_time);
+  /// True while some switch has work at or before `max_time`.
+  bool HasPendingThrough(Nanos max_time) const;
+  /// Advance switches first, first + stride, ... each to its horizon,
+  /// raising `last` to the latest dispatched event. Returns whether any
+  /// packet was staged, committed or dispatched.
+  bool Sweep(std::size_t first, std::size_t stride, Nanos max_time,
+             Nanos& last, obs::Histogram& stalls);
+  /// Sweep every switch on the caller thread until nothing is pending at
+  /// or before `max_time`.
+  Nanos RunOnCaller(Nanos max_time);
+  /// Sweep `nthreads` shards on a worker pool, then finish on the caller.
+  Nanos RunPooled(Nanos max_time, std::size_t nthreads);
 
   SimClock clock_;
   std::uint64_t base_seed_;
@@ -210,11 +207,7 @@ class Network {
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<LinkInfo> link_infos_;
   std::vector<std::unique_ptr<WireEndpoint>> endpoints_;
-  /// Switches with (possibly) pending work, maintained by MarkActive and
-  /// compacted during the sequential scan.
-  std::vector<std::size_t> active_;
   ParallelConfig parallel_;
-  std::atomic<bool> parallel_running_{false};
 };
 
 /// Hash-based ECMP forwarding policy: a flow's five-tuple picks one member

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/common/snapshot.h"
@@ -34,7 +35,6 @@ void Switch::SetPortHandler(int port, PacketHandler handler) {
 }
 
 void Switch::EnqueueFromWire(Packet p, Nanos arrival) {
-  NotifyActivity();
   Event ev{arrival, next_seq_++, PacketSource::kWire, std::move(p)};
   // In-order arrivals ride the FIFO lane; a late arrival (links with jitter
   // can reorder) falls back to the heap so the (time, seq) total order is
@@ -47,13 +47,11 @@ void Switch::EnqueueFromWire(Packet p, Nanos arrival) {
 }
 
 void Switch::EnqueueFromController(Packet p, Nanos arrival) {
-  NotifyActivity();
   HeapPush({arrival, next_seq_++, PacketSource::kController, std::move(p)});
 }
 
 void Switch::StageFromWire(Packet p, Nanos arrival, std::uint32_t ingress_link,
                            std::uint64_t tx_index) {
-  NotifyActivity();
   staged_.push_back({arrival, ingress_link, tx_index, std::move(p)});
   if (staged_min_ < 0 || arrival < staged_min_) staged_min_ = arrival;
 }
@@ -291,10 +289,20 @@ void Switch::Load(SnapshotReader& r) {
   const auto load_event = [&r](Event& ev) {
     ev.time = r.I64();
     ev.seq = r.U64();
-    ev.source = PacketSource(r.U8());
+    const std::uint8_t source = r.U8();
+    if (source > std::uint8_t(PacketSource::kRecirculation)) {
+      throw SnapshotError("Switch: invalid packet source byte " +
+                          std::to_string(source));
+    }
+    ev.source = PacketSource(source);
     LoadPacket(r, ev.packet);
   };
-  const std::size_t nfifo = r.Size();
+  // Lane counts are bounded by the bytes left before anything is sized: an
+  // event occupies at least its time, seq and source byte, a staged
+  // arrival at least its time, ingress ordinal and tx index.
+  constexpr std::size_t kEventMinBytes = 8 + 8 + 1;
+  constexpr std::size_t kStagedMinBytes = 8 + 4 + 8;
+  const std::size_t nfifo = r.Count(kEventMinBytes);
   std::size_t cap = 64;
   while (cap < nfifo) cap *= 2;
   fifo_.clear();
@@ -303,10 +311,10 @@ void Switch::Load(SnapshotReader& r) {
   fifo_size_ = nfifo;
   for (std::size_t i = 0; i < nfifo; ++i) load_event(fifo_[i]);
   heap_.clear();
-  heap_.resize(r.Size());
+  heap_.resize(r.Count(kEventMinBytes));
   for (Event& ev : heap_) load_event(ev);
   staged_.clear();
-  staged_.resize(r.Size());
+  staged_.resize(r.Count(kStagedMinBytes));
   for (StagedArrival& a : staged_) {
     a.time = r.I64();
     a.ingress = r.U32();

@@ -56,10 +56,10 @@ inline constexpr int kNoEgressPort = -1;
 /// fabric-wire arrivals (StageFromWire / CommitStagedThrough) draw from a
 /// second counter starting at 0. Staged arrivals therefore deterministically
 /// win exact-time ties against internally generated events, no matter which
-/// engine (sequential or parallel, any thread count) committed them — the
-/// keystone of the parallel engine's bit-identical guarantee. Relative order
-/// WITHIN each space is unchanged, so runs that never stage (direct
-/// attachment, single switch) reproduce the historical engine exactly.
+/// thread, or how many, committed them — the keystone of the fabric
+/// engine's bit-identical guarantee. Relative order WITHIN each space is
+/// unchanged, so runs that never stage (direct attachment, single switch)
+/// reproduce the historical engine exactly.
 inline constexpr std::uint64_t kSharedSeqBase = std::uint64_t(1) << 62;
 /// Replicate the packet on every connected egress port (protocol floods,
 /// e.g. the end-of-trace sentinel that must terminate every path).
@@ -183,8 +183,8 @@ class Switch {
   /// `bound` can be staged after this call — under that wave-partition
   /// contract, concatenating the per-call commit sequences yields the
   /// global canonical sort regardless of where the wave boundaries fall,
-  /// which is why sequential and parallel execution dispatch bit-identical
-  /// per-switch event orders. Returns the number of events committed.
+  /// which is why every thread count dispatches bit-identical per-switch
+  /// event orders. Returns the number of events committed.
   std::size_t CommitStagedThrough(Nanos bound);
 
   /// Earliest staged (uncommitted) arrival time, or -1 when none.
@@ -196,15 +196,6 @@ class Switch {
     if (lanes < 0) return staged_min_;
     if (staged_min_ < 0) return lanes;
     return lanes < staged_min_ ? lanes : staged_min_;
-  }
-
-  /// Hook invoked on every enqueue/stage (when set). The owning Network
-  /// uses it to maintain the idle-switch skip list: quiescence detection
-  /// only scans switches that have signalled activity. Kept as a bare
-  /// branch + indirect call so the historical direct-enqueue path stays on
-  /// its fast admission check.
-  void SetActivityListener(std::function<void()> listener) {
-    on_activity_ = std::move(listener);
   }
 
   /// Process every queued event with time <= t, in time order. Recirculated
@@ -276,9 +267,6 @@ class Switch {
 
   void DispatchEvent(Event& ev, PassCounts& counts);
   void FlushCounts(const PassCounts& counts) noexcept;
-  void NotifyActivity() {
-    if (on_activity_) on_activity_();
-  }
 
   // FIFO ring lane (power-of-two capacity).
   bool FifoEmpty() const noexcept { return fifo_size_ == 0; }
@@ -321,7 +309,6 @@ class Switch {
   PooledVector<StagedArrival> staged_;
   Nanos staged_min_ = -1;
   std::uint64_t staged_seq_ = 0;
-  std::function<void()> on_activity_;
 
   std::uint64_t next_seq_ = kSharedSeqBase;
   Nanos last_dispatched_ = -1;

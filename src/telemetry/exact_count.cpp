@@ -37,7 +37,7 @@ void ExactCountApp::LoadState(SnapshotReader& r) {
   r.Section(snap::kApp);
   for (FlowCounts& counts : counts_) {
     counts.clear();
-    const std::size_t n = r.Size();
+    const std::size_t n = r.Count(sizeof(FlowKey) + 8);
     counts.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const FlowKey key = r.Get<FlowKey>();

@@ -1,18 +1,28 @@
-// A/B proof for the conservative-lookahead parallel fabric engine: the same
+// Bit-identity proof for the conservative-lookahead fabric engine: the same
 // seed and trace must produce BIT-IDENTICAL windows, per-window count
 // tables, data-plane/controller stats, per-link ground truth and scalar obs
 // deltas for every thread count — with and without faults armed — because
 // wire seq numbers are assigned deterministically at send time and each
 // switch commits staged arrivals in one canonical order regardless of which
-// worker (or how many) drives it (docs/parallel_execution.md).
+// thread (or how many) drives it (docs/parallel_execution.md).
+//
+// Every scenario is also pinned to a recorded digest. The digests were
+// computed by the retired sequential engine (one switch at a time, batched
+// to the next-earliest event over every other switch), so the lookahead
+// engine stays anchored to an independent reference order, not only to
+// itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/core/network_runner.h"
 #include "src/fault/fault.h"
 #include "src/net/network.h"
@@ -83,9 +93,40 @@ struct Fingerprint {
   /// wall-clock/schedule accounting and are excluded by construction;
   /// everything else must match bit for bit.
   std::vector<std::string> obs;
+  std::uint64_t digest = 0;  ///< Digest() of the run
 
   bool operator==(const Fingerprint&) const = default;
 };
+
+/// Order-independent digest of a run: every window's span, partial flag and
+/// completed_at, every count-table entry, and every link's stats, each
+/// hashed together with its owner and summed. Built only from Mix64 and
+/// FlowKey::Hash, so gcc and clang builds compute the same value.
+std::uint64_t Digest(const NetworkRunResult& net) {
+  const auto mix = [](std::initializer_list<std::uint64_t> fields) {
+    std::uint64_t h = 0;
+    for (const std::uint64_t f : fields) h = Mix64(h ^ f);
+    return h;
+  };
+  std::uint64_t d = 0;
+  for (std::uint64_t s = 0; s < net.per_switch.size(); ++s) {
+    const SwitchRun& sw = net.per_switch[s];
+    for (const auto& w : sw.windows) {
+      d += mix({1, s, w.span.first, w.span.last,
+                std::uint64_t(w.completed_at), w.partial});
+    }
+    for (const auto& [sub, counts] : sw.counts) {
+      for (const auto& [key, n] : counts) {
+        d += mix({2, s, sub, key.Hash(0xD16E57ull), n});
+      }
+    }
+  }
+  for (const FabricLinkStats& l : net.links) {
+    d += mix({3, std::uint64_t(l.from), std::uint64_t(l.to),
+              std::uint64_t(l.port), l.transmitted, l.dropped, l.duplicates});
+  }
+  return d;
+}
 
 std::vector<std::string> ScalarObsLines() {
   std::ostringstream os;
@@ -145,23 +186,38 @@ Fingerprint RunFabric(const Trace& trace, NetworkRunConfig cfg,
   fp.report_dropped = net.report_dropped;
   fp.delivered = net.delivered;
   fp.obs = ScalarObsLines();
+  fp.digest = Digest(net);
   return fp;
+}
+
+/// Runs the scenario at every thread count (0 is the caller-thread sweep).
+/// Each run must reproduce `recorded` and match the threads=0 run in full.
+/// Returns the threads=0 fingerprint for scenario-specific checks.
+Fingerprint ExpectMatchesRecorded(const Trace& trace,
+                                  const NetworkRunConfig& cfg,
+                                  std::uint64_t recorded) {
+  const Fingerprint first = RunFabric(trace, cfg, /*threads=*/0);
+  EXPECT_EQ(first.digest, recorded)
+      << "threads=0 diverged from the recorded digest: got 0x" << std::hex
+      << first.digest;
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Fingerprint par = RunFabric(trace, cfg, threads);
+    EXPECT_EQ(par.digest, recorded) << "diverged from the recorded digest";
+    EXPECT_EQ(first, par) << "results changed with thread count";
+  }
+  return first;
 }
 
 TEST(ParallelFabric, BitIdenticalAcrossThreadCountsFaultFree) {
   const Trace trace = FabricTrace(1201);
   const NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/4, /*spines=*/3);
 
-  const Fingerprint seq = RunFabric(trace, cfg, /*threads=*/0);
-  ASSERT_FALSE(seq.per_switch.empty());
-  ASSERT_GT(seq.per_switch[0].windows_emitted, 0u);
-  EXPECT_GE(seq.delivered, trace.packets.size());
-
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const Fingerprint par = RunFabric(trace, cfg, threads);
-    EXPECT_EQ(seq, par) << "parallel engine diverged from sequential";
-  }
+  const Fingerprint fp =
+      ExpectMatchesRecorded(trace, cfg, 0x4e9f488fea39b1c4ull);
+  ASSERT_FALSE(fp.per_switch.empty());
+  ASSERT_GT(fp.per_switch[0].windows_emitted, 0u);
+  EXPECT_GE(fp.delivered, trace.packets.size());
 }
 
 TEST(ParallelFabric, BitIdenticalWithFaultsArmed) {
@@ -179,15 +235,10 @@ TEST(ParallelFabric, BitIdenticalWithFaultsArmed) {
   cfg.base.fault.switch_os.slow_rate = 0.20;
   cfg.base.fault.controller.merge_stall_rate = 0.20;
 
-  const Fingerprint seq = RunFabric(trace, cfg, /*threads=*/0);
-  EXPECT_GT(seq.link_dropped, 0u) << "fabric loss never fired";
-  EXPECT_GT(seq.report_dropped, 0u) << "report loss never fired";
-
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const Fingerprint par = RunFabric(trace, cfg, threads);
-    EXPECT_EQ(seq, par) << "fault-path results changed with thread count";
-  }
+  const Fingerprint fp =
+      ExpectMatchesRecorded(trace, cfg, 0xd24d1ab6bb3ed86aull);
+  EXPECT_GT(fp.link_dropped, 0u) << "fabric loss never fired";
+  EXPECT_GT(fp.report_dropped, 0u) << "report loss never fired";
 }
 
 TEST(ParallelFabric, LineTopologyMatchesSequential) {
@@ -199,11 +250,42 @@ TEST(ParallelFabric, LineTopologyMatchesSequential) {
   cfg.topology.kind = TopologyKind::kLine;
   cfg.topology.line_switches = 4;
 
-  const Fingerprint seq = RunFabric(trace, cfg, /*threads=*/0);
-  for (const std::size_t threads : {2u, 4u}) {
+  ExpectMatchesRecorded(trace, cfg, 0x6b5749d799f40c71ull);
+}
+
+/// Logs the time of every pass; forwards every packet.
+class PassTimeLog final : public SwitchProgram {
+ public:
+  void Process(Packet&, Nanos now, PacketSource, PipelineActions&) override {
+    times.push_back(now);
+  }
+  std::vector<Nanos> times;
+};
+
+TEST(ParallelFabric, CallerThreadHonorsHorizonAgainstIdOrder) {
+  // Switch 0 sits downstream of switch 1, so an id-order sweep reaches it
+  // before its upstream has sent anything. Only the horizon keeps it from
+  // running its own traffic past arrivals that are still to come.
+  for (const std::size_t threads : {0u, 2u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const Fingerprint par = RunFabric(trace, cfg, threads);
-    EXPECT_EQ(seq, par);
+    Network net;
+    Switch* down = net.AddSwitch();
+    Switch* up = net.AddSwitch();
+    auto down_log = std::make_shared<PassTimeLog>();
+    down->SetProgram(down_log);
+    up->SetProgram(std::make_shared<PassTimeLog>());
+    net.Connect(up, down, LinkParams{.latency = 10 * kMicro, .jitter = 0});
+    for (int i = 0; i < 100; ++i) {
+      Packet p;
+      p.ts = Nanos(i) * 7 * kMicro;
+      up->EnqueueFromWire(p, p.ts);
+      down->EnqueueFromWire(p, p.ts + 3 * kMicro);
+    }
+    net.SetParallel({.threads = threads});
+    net.RunUntilQuiescent(kSecond);
+    EXPECT_EQ(down_log->times.size(), 200u);
+    EXPECT_TRUE(std::is_sorted(down_log->times.begin(), down_log->times.end()))
+        << "switch 0 dispatched past an arrival its upstream had yet to send";
   }
 }
 

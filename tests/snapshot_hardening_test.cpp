@@ -8,7 +8,8 @@
 // and still usable), dense<->sparse encoding equivalence across the
 // occupancy range, the durable-file framing (every bit flip and truncation
 // of a WriteFile checkpoint is caught, with the error naming the section and
-// absolute file offsets), and the delta-checkpoint encode/apply pair.
+// absolute file offsets), forged lane and table counts in Switch and
+// ExactCountApp checkpoints, and the delta-checkpoint encode/apply pair.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,8 @@
 
 #include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
+#include "src/switchsim/pipeline.h"
+#include "src/telemetry/exact_count.h"
 
 namespace ow {
 namespace {
@@ -141,6 +144,67 @@ TEST(SnapshotHardening, TruncationErrorNamesSectionAndOffset) {
     EXPECT_NE(msg.find("in section 0x1B"), std::string::npos) << msg;
     EXPECT_NE(msg.find("offset"), std::string::npos) << msg;
   }
+}
+
+/// Offset of the first u64 after the writer header (8) and one section tag
+/// (4): the FIFO lane count of a Switch checkpoint, the first table count
+/// of an ExactCountApp one.
+constexpr std::size_t kFirstCountOffset = 8 + 4;
+
+void Forge(std::vector<std::uint8_t>& bytes, std::size_t offset,
+           std::uint64_t value) {
+  std::memcpy(bytes.data() + offset, &value, 8);
+}
+
+TEST(SnapshotHardening, ForgedSwitchLaneCountIsRejected) {
+  Switch sw(0);
+  Packet p;
+  p.ts = 5;
+  sw.EnqueueFromWire(p, p.ts);
+  SnapshotWriter w;
+  sw.Save(w);
+  const std::vector<std::uint8_t> good = w.Take();
+
+  // 2^63 + 1 used to wrap the FIFO capacity doubling to 0 and spin; 2^40
+  // used to reach resize and throw bad_alloc.
+  for (const std::uint64_t forged :
+       {(std::uint64_t{1} << 63) + 1, std::uint64_t{1} << 40}) {
+    std::vector<std::uint8_t> bytes = good;
+    Forge(bytes, kFirstCountOffset, forged);
+    Switch dst(0);
+    SnapshotReader r(bytes);
+    EXPECT_THROW(dst.Load(r), SnapshotError) << "count " << forged;
+  }
+}
+
+TEST(SnapshotHardening, ForgedSwitchPacketSourceIsRejected) {
+  Switch sw(0);
+  Packet p;
+  p.ts = 5;
+  sw.EnqueueFromWire(p, p.ts);
+  SnapshotWriter w;
+  sw.Save(w);
+  std::vector<std::uint8_t> bytes = w.Take();
+  // FIFO count (8), then the first event's time (8) and seq (8).
+  const std::size_t source_offset = kFirstCountOffset + 8 + 8 + 8;
+  ASSERT_EQ(bytes[source_offset], std::uint8_t(PacketSource::kWire));
+  bytes[source_offset] = 7;
+
+  Switch dst(0);
+  SnapshotReader r(bytes);
+  EXPECT_THROW(dst.Load(r), SnapshotError);
+}
+
+TEST(SnapshotHardening, ForgedExactCountAppCountIsRejected) {
+  ExactCountApp app;
+  SnapshotWriter w;
+  app.SaveState(w);
+  std::vector<std::uint8_t> bytes = w.Take();
+  Forge(bytes, kFirstCountOffset, std::uint64_t{1} << 40);
+
+  ExactCountApp dst;
+  SnapshotReader r(bytes);
+  EXPECT_THROW(dst.LoadState(r), SnapshotError);
 }
 
 // --- KeyValueTable::Load strong exception guarantee -------------------------

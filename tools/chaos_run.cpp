@@ -19,11 +19,11 @@
 // SUPPOSED to shrink. There the bar is structural (same window cadence and
 // spans as the fault-free baseline, or flagged) plus localization: hop-by-hop
 // flow conservation over the captured count tables must charge loss to the
-// armed link and to no other. Every fabric cell additionally re-runs under
-// the conservative-lookahead parallel engine (threads=4,
-// docs/parallel_execution.md) and demands BIT-IDENTICAL windows, count
-// tables and link ground truth against the sequential run — loss
-// localization must not depend on how many workers drove the fabric.
+// armed link and to no other. Every fabric cell additionally re-runs on a
+// four-worker pool (threads=4, docs/parallel_execution.md) and demands
+// BIT-IDENTICAL windows, count tables and link ground truth against the
+// caller-thread run (threads=0) — loss localization must not depend on how
+// many workers drove the fabric.
 //
 // The kill-restore cell exercises the checkpoint machinery as a fault:
 // drive the faulted leaf-spine fabric to a pseudo-random sub-window
@@ -34,7 +34,7 @@
 // windows, detections, partial flags, count tables, link ground truth and
 // delivery totals — at every intensity, including with fabric loss armed
 // across the kill point, and again when the restored session is driven by
-// the parallel engine. A kill/restore is not allowed to perturb anything,
+// the worker pool. A kill/restore is not allowed to perturb anything,
 // ever (snapshot_restore_test proves the unit version; this sweeps seeds
 // x intensities end to end). It is a harness-level cell, not a
 // fault::ChaosKind — the injected "fault" is the process death itself.
@@ -445,17 +445,18 @@ struct CellResult {
   std::size_t windows_exact = 0;
   std::size_t windows_flagged = 0;
   std::size_t divergent_unflagged = 0;
-  /// Fabric cells only: mismatches between the sequential and the
-  /// threads=4 parallel run of the SAME faulted cell (must be 0).
+  /// Fabric cells only: mismatches between the caller-thread and the
+  /// threads=4 pooled run of the SAME faulted cell (must be 0).
   std::size_t parallel_mismatch = 0;
   std::uint64_t injected_faults = 0;
   bool zero_must_match = false;
 };
 
-/// Bit-identity between the sequential and parallel engines on the SAME
-/// faulted fabric cell: windows (spans, detections, partial flags),
-/// captured count tables, per-link ground truth and the delivery/drop
-/// totals must all match exactly. Returns the number of mismatches.
+/// Bit-identity between two runs of the SAME faulted fabric cell (two
+/// thread counts, or a kill/restore against the uninterrupted run):
+/// windows (spans, detections, partial flags), captured count tables,
+/// per-link ground truth and the delivery/drop totals must all match
+/// exactly. Returns the number of mismatches.
 std::size_t CompareEngines(const FabricSnap& seq, const FabricSnap& par) {
   std::size_t bad = 0;
   if (seq.snap.windows.size() != par.snap.windows.size()) ++bad;
@@ -726,7 +727,7 @@ int main(int argc, char** argv) {
         if (fabric) {
           const FabricSnap got = SnapFabric(line_trace, plan, s, armed);
           cell.injected_faults = SumFaultCounters();
-          // The same faulted cell under the parallel engine: the fault
+          // The same faulted cell on the worker pool: the fault
           // injectors hash (stream, seq) so identical wire ordering must
           // reproduce identical drops, and the windows downstream of them.
           const FabricSnap par =
@@ -809,8 +810,8 @@ int main(int argc, char** argv) {
             SnapFabricKillRestore(line_trace, plan, s, armed, kill_t);
         cell.injected_faults = SumFaultCounters();
         cell.divergent_unflagged += CompareEngines(ref, got);
-        // The restored session must also resume bit-identically under the
-        // parallel engine: a snapshot is engine-neutral state.
+        // The restored session must also resume bit-identically on the
+        // worker pool: a snapshot is thread-count-neutral state.
         const FabricSnap par = SnapFabricKillRestore(line_trace, plan, s,
                                                      armed, kill_t,
                                                      /*threads=*/4);
