@@ -1,6 +1,8 @@
 #include "src/controller/key_value_table.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "src/common/snapshot.h"
@@ -11,8 +13,18 @@ KeyValueTable::KeyValueTable(std::size_t capacity) {
   if (capacity < 8) capacity = 8;
   capacity = std::bit_ceil(capacity);
   slots_.resize(capacity);
+  used_bits_.resize((capacity + 63) / 64);
   mask_ = capacity - 1;
 }
+
+namespace {
+
+/// Zero a slot's bytes, padding included: an empty slot is byte-identical
+/// to a freshly constructed one (KvSlot{} is all zeros), so dense
+/// checkpoints of equal tables are equal byte for byte.
+void ZeroSlot(KvSlot& s) { std::memset(static_cast<void*>(&s), 0, sizeof s); }
+
+}  // namespace
 
 std::uint64_t KeyValueTable::HashOf(const FlowKey& key) {
   return key.Hash(0x7AB1E0FFull);
@@ -65,7 +77,10 @@ KvSlot* KeyValueTable::TryFindOrInsert(const FlowKey& key, bool& created) {
         ++rejected_;
         return nullptr;
       }
-      if (!first_tombstone) ++used_;
+      if (!first_tombstone) {
+        ++used_;
+        used_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
       target = KvSlot{};
       target.key = key;
       target.hash_tag = tag;
@@ -88,7 +103,8 @@ bool KeyValueTable::Erase(const FlowKey& key) {
 }
 
 void KeyValueTable::Clear() {
-  for (auto& s : slots_) s = KvSlot{};
+  ForEachOccupied([&](std::size_t i) { ZeroSlot(slots_[i]); });
+  std::fill(used_bits_.begin(), used_bits_.end(), 0);
   live_ = 0;
   used_ = 0;
 }
@@ -102,19 +118,6 @@ std::size_t KeyValueTable::AttrOffsetBytes(std::size_t slot_index,
   return slot_index * sizeof(KvSlot) + offsetof(KvSlot, attrs) + attr * 8;
 }
 
-void KeyValueTable::ForEach(const std::function<void(KvSlot&)>& fn) {
-  for (auto& s : slots_) {
-    if (s.state == KvSlot::State::kLive) fn(s);
-  }
-}
-
-void KeyValueTable::ForEach(
-    const std::function<void(const KvSlot&)>& fn) const {
-  for (const auto& s : slots_) {
-    if (s.state == KvSlot::State::kLive) fn(s);
-  }
-}
-
 void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   if (mode == KvSnapshotMode::kAuto) {
     mode = used_ < SparseSaveThreshold(slots_.size()) ? KvSnapshotMode::kSparse
@@ -125,11 +128,10 @@ void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   w.Size(slots_.size());
   if (mode == KvSnapshotMode::kSparse) {
     w.Size(used_);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].state == KvSlot::State::kEmpty) continue;
+    ForEachOccupied([&](std::size_t i) {
       w.U64(i);
       w.Pod(slots_[i]);
-    }
+    });
   } else {
     w.Bytes(slots_.data(), slots_.size() * sizeof(KvSlot));
   }
@@ -177,27 +179,34 @@ void KeyValueTable::Load(SnapshotReader& r) {
   const std::uint64_t rejected = r.U64();
   // Verify the stream's tallies against the array it described: a corrupt
   // state byte or dropped sparse entry surfaces here, not as a probe-chain
-  // heisenbug three windows later.
+  // heisenbug three windows later. The same pass rebuilds the used bitmap
+  // and zeroes every empty slot (a dense stream may carry stray bytes in
+  // one), which Clear relies on when it resets only occupied slots.
+  PooledVector<std::uint64_t> used_bits(used_bits_.size());
   std::size_t rebuilt_live = 0, rebuilt_used = 0;
-  for (const KvSlot& s : scratch) {
+  for (std::size_t i = 0; i < cap; ++i) {
     // Compare as raw bytes: the state came off an untrusted stream and may
     // hold a value no enumerator names.
-    const std::uint8_t st = static_cast<std::uint8_t>(s.state);
+    const std::uint8_t st = static_cast<std::uint8_t>(scratch[i].state);
+    if (st == static_cast<std::uint8_t>(KvSlot::State::kEmpty)) {
+      ZeroSlot(scratch[i]);
+      continue;
+    }
     if (st == static_cast<std::uint8_t>(KvSlot::State::kLive)) {
       ++rebuilt_live;
-      ++rebuilt_used;
-    } else if (st == static_cast<std::uint8_t>(KvSlot::State::kTombstone)) {
-      ++rebuilt_used;
-    } else if (st != static_cast<std::uint8_t>(KvSlot::State::kEmpty)) {
+    } else if (st != static_cast<std::uint8_t>(KvSlot::State::kTombstone)) {
       throw SnapshotError("KeyValueTable: invalid slot state " +
                           std::to_string(unsigned(st)));
     }
+    ++rebuilt_used;
+    used_bits[i / 64] |= std::uint64_t{1} << (i % 64);
   }
   CheckShape(snap::kKvTable, "KeyValueTable", "live slots", rebuilt_live,
              live);
   CheckShape(snap::kKvTable, "KeyValueTable", "occupied slots", rebuilt_used,
              used);
   std::memcpy(slots_.data(), scratch.data(), cap * sizeof(KvSlot));
+  used_bits_.swap(used_bits);
   live_ = live;
   used_ = used;
   rejected_ = rejected;

@@ -6,11 +6,18 @@
 // (key, attribute) pair has a STABLE byte offset that can be handed to the
 // switch as an RDMA WRITE / FETCH_ADD destination (§7). Deletion uses
 // tombstones for the same reason — live slots never move.
+//
+// A `used` bitmap shadows the slot array: bit i is set exactly when slot i
+// is not kEmpty (live or tombstone). Walks that only care about occupied
+// slots — ForEach, the sparse checkpoint and Clear — step through the set
+// bits, so they cost O(capacity/64 + occupied) rather than O(capacity): a
+// window consumer pays for the flows in the window, not for the table's
+// provisioned size.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -68,7 +75,9 @@ class KeyValueTable {
   /// Tombstone the slot for `key`. Returns true if it was live.
   bool Erase(const FlowKey& key);
 
-  /// Drop all entries (tombstones included).
+  /// Drop all entries (tombstones included). Resets only the occupied
+  /// slots (every empty slot already equals a zeroed KvSlot{}), so a sparse
+  /// table clears in O(capacity/64 + occupied).
   void Clear();
 
   std::size_t size() const noexcept { return live_; }
@@ -97,9 +106,24 @@ class KeyValueTable {
     return slots_.size() * sizeof(KvSlot);
   }
 
-  /// Visit every live slot.
-  void ForEach(const std::function<void(KvSlot&)>& fn);
-  void ForEach(const std::function<void(const KvSlot&)>& fn) const;
+  /// Call `fn(slot)` for every live slot, in ascending slot-index order
+  /// (the order a full-array scan would visit them). Costs O(capacity/64 +
+  /// occupied slots): the walk skips 64 empty slots per bitmap word and
+  /// touches only live and tombstone slots. `fn` may modify a visited slot's
+  /// attributes or Erase it, but must not insert.
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    ForEachOccupied([&](std::size_t i) {
+      if (slots_[i].state == KvSlot::State::kLive) fn(slots_[i]);
+    });
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    ForEachOccupied([&](std::size_t i) {
+      const KvSlot& s = slots_[i];
+      if (s.state == KvSlot::State::kLive) fn(s);
+    });
+  }
 
   /// Checkpoint the slot array (slots are trivially copyable, and the probe
   /// layout must survive verbatim so RDMA-stable offsets and probe chains
@@ -124,9 +148,23 @@ class KeyValueTable {
   static std::uint64_t HashOf(const FlowKey& key);
   std::size_t Probe(const FlowKey& key) const;
 
+  /// Call `fn(index)` for every set bit of used_bits_, ascending.
+  template <typename Fn>
+  void ForEachOccupied(Fn&& fn) const {
+    for (std::size_t w = 0; w < used_bits_.size(); ++w) {
+      for (std::uint64_t bits = used_bits_[w]; bits != 0; bits &= bits - 1) {
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
   // Pool-backed: window-type resets (tumbling Clear + reconstruction) and
   // QueryRange scratch tables recycle slot arrays instead of reallocating.
   PooledVector<KvSlot> slots_;
+  /// Bit i set <=> slots_[i].state != kEmpty. Set when an empty slot is
+  /// first taken, kept through Erase (a tombstone is still occupied),
+  /// cleared only by Clear and rebuilt by Load.
+  PooledVector<std::uint64_t> used_bits_;
   std::size_t mask_;
   std::size_t live_ = 0;
   std::size_t used_ = 0;  // live + tombstones

@@ -66,15 +66,6 @@ std::uint64_t ShardedKeyValueTable::rejected_inserts() const noexcept {
   return n;
 }
 
-void ShardedKeyValueTable::ForEach(const std::function<void(KvSlot&)>& fn) {
-  for (auto& s : shards_) s.ForEach(fn);
-}
-
-void ShardedKeyValueTable::ForEach(
-    const std::function<void(const KvSlot&)>& fn) const {
-  for (const auto& s : shards_) s.ForEach(fn);
-}
-
 void ShardedKeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   w.Size(shards_.size());
   for (const KeyValueTable& s : shards_) s.Save(w, mode);

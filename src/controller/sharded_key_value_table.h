@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/controller/key_value_table.h"
@@ -54,9 +53,16 @@ class ShardedKeyValueTable {
   /// (monotonic across Clear, like KeyValueTable::rejected_inserts).
   std::uint64_t rejected_inserts() const noexcept;
 
-  /// Visit every live slot, shard by shard.
-  void ForEach(const std::function<void(KvSlot&)>& fn);
-  void ForEach(const std::function<void(const KvSlot&)>& fn) const;
+  /// Call `fn(slot)` for every live slot, shard by shard, each shard in
+  /// slot-index order (see KeyValueTable::ForEach for the cost).
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    for (KeyValueTable& s : shards_) s.ForEach(fn);
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const KeyValueTable& s : shards_) s.ForEach(fn);
+  }
 
   /// Checkpoint every shard (`mode` selects the per-shard encoding — see
   /// KvSnapshotMode). Load verifies the shard count matches (shard routing
@@ -90,7 +96,8 @@ class TableView {
   const KvSlot* Find(const FlowKey& key) const {
     return single_ ? single_->Find(key) : sharded_->Find(key);
   }
-  void ForEach(const std::function<void(const KvSlot&)>& fn) const {
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
     if (single_) {
       single_->ForEach(fn);
     } else {

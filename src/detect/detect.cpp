@@ -1,6 +1,8 @@
 #include "src/detect/detect.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/snapshot.h"
 #include "src/obs/obs.h"
@@ -94,31 +96,50 @@ EntityDetector::EntityDetector(const DetectorConfig& cfg, int switch_id)
 }
 
 void EntityDetector::OnWindow(const WindowResult& w) {
-  // Aggregate the (arbitrary-kind, arbitrary-order) flow table into ordered
-  // per-entity totals first: scoring must not observe shard iteration order.
-  TotalsMap totals;
+  // Project the (arbitrary-kind, arbitrary-order) flow table onto entity
+  // totals, then sort and coalesce them: scoring must not observe shard
+  // iteration order.
+  totals_.clear();
+  auto add = [&](const FlowKey& entity, std::uint64_t v) {
+    totals_.push_back({entity, v});
+  };
   w.table->ForEach([&](const KvSlot& slot) {
     const std::uint64_t v = slot.attrs[0];
     if (v == 0) return;
     switch (slot.key.kind()) {
       case FlowKeyKind::kFiveTuple:
       case FlowKeyKind::kIpPair:
-        if (cfg_.track_src) totals[SrcEntity(slot.key.src_ip())] += v;
-        if (cfg_.track_dst) totals[DstEntity(slot.key.dst_ip())] += v;
+        if (cfg_.track_src) add(SrcEntity(slot.key.src_ip()), v);
+        if (cfg_.track_dst) add(DstEntity(slot.key.dst_ip()), v);
         break;
       case FlowKeyKind::kSrcIp:
-        if (cfg_.track_src) totals[slot.key] += v;
+        if (cfg_.track_src) add(slot.key, v);
         break;
       case FlowKeyKind::kDstIp:
-        if (cfg_.track_dst) totals[slot.key] += v;
+        if (cfg_.track_dst) add(slot.key, v);
         break;
       case FlowKeyKind::kSrcIpDstPort:
         // Only the source address survives this projection.
-        if (cfg_.track_src) totals[SrcEntity(slot.key.src_ip())] += v;
+        if (cfg_.track_src) add(SrcEntity(slot.key.src_ip()), v);
         break;
     }
   });
-  OnTotals(totals, w.span, w.completed_at, w.partial);
+  std::sort(totals_.begin(), totals_.end(),
+            [](const EntityTotal& a, const EntityTotal& b) {
+              return a.entity < b.entity;
+            });
+  // Coalesce each entity's run into one total (a uint64 sum, so the result
+  // does not depend on the order within the run).
+  std::size_t n = 0;
+  for (const EntityTotal& t : totals_) {
+    if (n > 0 && totals_[n - 1].entity == t.entity) {
+      totals_[n - 1].value += t.value;
+    } else {
+      totals_[n++] = t;
+    }
+  }
+  totals_.resize(n);
+  Score(totals_, w.span, w.completed_at, w.partial);
 }
 
 bool EntityDetector::Admit(const FlowKey& key, double value,
@@ -153,6 +174,7 @@ bool EntityDetector::Admit(const FlowKey& key, double value,
     c_evictions_->Add();
   }
   *out = &entities_[key];
+  (*out)->model.Reserve(cfg_.score);
   stats_.tracked_peak = std::max(stats_.tracked_peak, entities_.size());
   return true;
 }
@@ -208,8 +230,25 @@ void EntityDetector::StepEntity(const FlowKey& key, EntityState& st,
   }
 }
 
-void EntityDetector::OnTotals(const TotalsMap& totals, SubWindowSpan span,
-                              Nanos completed_at, bool partial) {
+void EntityDetector::OnTotals(std::span<const EntityTotal> totals,
+                              SubWindowSpan span, Nanos completed_at,
+                              bool partial) {
+  const auto unordered = std::adjacent_find(
+      totals.begin(), totals.end(),
+      [](const EntityTotal& a, const EntityTotal& b) {
+        return !(a.entity < b.entity);
+      });
+  if (unordered != totals.end()) {
+    throw std::invalid_argument(
+        "EntityDetector::OnTotals: totals not strictly ascending at " +
+        unordered->entity.ToString());
+  }
+  Score(totals, span, completed_at, partial);
+}
+
+void EntityDetector::Score(std::span<const EntityTotal> totals,
+                           SubWindowSpan span, Nanos completed_at,
+                           bool partial) {
   ++stats_.windows;
   c_windows_->Add();
   if (partial) {
@@ -238,12 +277,12 @@ void EntityDetector::OnTotals(const TotalsMap& totals, SubWindowSpan span,
   // the merge: Admit() at the capacity cap evicts an arbitrary quiet entity
   // from entities_, which could be the very element the merge cursor points
   // at — erasing it mid-pass would leave `te` dangling.
-  std::vector<std::pair<FlowKey, std::uint64_t>> fresh;
+  fresh_.clear();
   auto te = entities_.begin();
   auto tv = totals.begin();
   while (te != entities_.end() || tv != totals.end()) {
     if (tv == totals.end() ||
-        (te != entities_.end() && te->first < tv->first)) {
+        (te != entities_.end() && te->first < tv->entity)) {
       // Tracked, absent this window.
       StepEntity(te->first, te->second, 0, span, completed_at, partial);
       if (te->second.fsm.quiet() &&
@@ -254,22 +293,22 @@ void EntityDetector::OnTotals(const TotalsMap& totals, SubWindowSpan span,
       } else {
         ++te;
       }
-    } else if (te == entities_.end() || tv->first < te->first) {
+    } else if (te == entities_.end() || tv->entity < te->first) {
       // Present, untracked: admission-gate on the scoring floor.
-      if (double(tv->second) >= cfg_.score.min_baseline) {
-        fresh.emplace_back(tv->first, tv->second);
+      if (double(tv->value) >= cfg_.score.min_baseline) {
+        fresh_.push_back(*tv);
       }
       ++tv;
     } else {
-      StepEntity(te->first, te->second, tv->second, span, completed_at,
+      StepEntity(te->first, te->second, tv->value, span, completed_at,
                  partial);
       ++te;
       ++tv;
     }
   }
-  // `fresh` is in key order (totals is an ordered map), so admissions and
-  // any capacity evictions they trigger remain deterministic.
-  for (const auto& [key, value] : fresh) {
+  // `fresh_` is in key order (totals is sorted), so admissions and any
+  // capacity evictions they trigger remain deterministic.
+  for (const auto& [key, value] : fresh_) {
     EntityState* st = nullptr;
     if (Admit(key, double(value), &st)) {
       StepEntity(key, *st, value, span, completed_at, partial);
@@ -350,8 +389,16 @@ void HysteresisFsm::Save(SnapshotWriter& w) const {
 }
 
 void HysteresisFsm::Load(SnapshotReader& r) {
-  state_ = HealthState(r.U8());
-  prev_ = HealthState(r.U8());
+  const auto health = [&r] {
+    const std::uint8_t b = r.U8();
+    if (b > std::uint8_t(HealthState::kDown)) {
+      throw SnapshotError("HysteresisFsm: invalid health state " +
+                          std::to_string(unsigned(b)));
+    }
+    return HealthState(b);
+  };
+  state_ = health();
+  prev_ = health();
   hot_streak_ = int(r.I64());
   cool_streak_ = int(r.I64());
 }
@@ -369,20 +416,41 @@ void EntityDetector::Save(SnapshotWriter& w) const {
   w.Pod(stats_);
 }
 
-void EntityDetector::Load(SnapshotReader& r) {
+EntityDetector::Decoded EntityDetector::Decode(SnapshotReader& r) const {
+  // Smallest encoded entity: key, baseline, empty lag ring (its length
+  // prefix), FSM states and streaks, idle count.
+  constexpr std::size_t kMinEntityBytes =
+      sizeof(FlowKey) + 8 + 8 + 2 * 1 + 2 * 8 + 4;
   r.Section(snap::kDetector);
-  cold_ = r.Bool();
-  entities_.clear();
-  const std::size_t n = r.Size();
+  Decoded d;
+  d.cold = r.Bool();
+  const std::size_t n = r.Count(kMinEntityBytes);
   for (std::size_t i = 0; i < n; ++i) {
     const FlowKey key = r.Get<FlowKey>();
-    EntityState& st = entities_[key];
+    // Save walks the ordered map, so keys arrive strictly ascending; a
+    // duplicate or out-of-order key means the stream is corrupt.
+    if (!d.entities.empty() && !(d.entities.rbegin()->first < key)) {
+      throw SnapshotError("EntityDetector: entity " + std::to_string(i) +
+                          " out of key order");
+    }
+    EntityState& st =
+        d.entities.emplace_hint(d.entities.end(), key, EntityState{})->second;
     st.model.Load(r);
+    st.model.Reserve(cfg_.score);
     st.fsm.Load(r);
     st.idle_windows = r.U32();
   }
-  r.Pod(stats_);
+  r.Pod(d.stats);
+  return d;
 }
+
+void EntityDetector::Commit(Decoded&& d) noexcept {
+  cold_ = d.cold;
+  entities_.swap(d.entities);
+  stats_ = d.stats;
+}
+
+void EntityDetector::Load(SnapshotReader& r) { Commit(Decode(r)); }
 
 void DetectionService::Save(SnapshotWriter& w) const {
   w.Size(detectors_.size());
@@ -392,7 +460,14 @@ void DetectionService::Save(SnapshotWriter& w) const {
 void DetectionService::Load(SnapshotReader& r) {
   CheckShape(snap::kDetector, "DetectionService", "switch count",
              detectors_.size(), r.Size());
-  for (EntityDetector& d : detectors_) d.Load(r);
+  // Decode every switch's section before committing any: a stream that
+  // fails part-way leaves the whole service unchanged.
+  std::vector<EntityDetector::Decoded> decoded;
+  decoded.reserve(detectors_.size());
+  for (const EntityDetector& d : detectors_) decoded.push_back(d.Decode(r));
+  for (std::size_t i = 0; i < detectors_.size(); ++i) {
+    detectors_[i].Commit(std::move(decoded[i]));
+  }
 }
 
 }  // namespace ow::detect

@@ -23,8 +23,8 @@
 // quiet entity evicted first), so steady-state memory is fixed regardless
 // of trace length.
 //
-// Determinism: per-window totals are aggregated into an ordered map before
-// any scoring, so results are bit-identical across ControllerConfig::
+// Determinism: per-window totals are sorted by entity key and coalesced
+// before any scoring, so results are bit-identical across ControllerConfig::
 // merge_threads (shard iteration order differs, contents do not). Each
 // switch has its own detector and the fabric engine serializes handler
 // calls per switch, so alert streams are bit-identical across parallel
@@ -39,7 +39,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -87,6 +87,11 @@ class ScoreModel {
 
   /// Cold-start: adopt `value` as the baseline outright.
   void Seed(double value) { baseline_ = value; }
+
+  /// Size the lag ring for `cfg` up front, so Absorb never grows it.
+  void Reserve(const ScoreModelConfig& cfg) {
+    lag_ring_.reserve(cfg.baseline_lag + 1);
+  }
 
   /// Queue `value` for lagged absorption; absorb the value that is now
   /// `cfg.baseline_lag` windows old unless `freeze` (entity is suspect).
@@ -169,22 +174,31 @@ struct DetectorConfig {
   bool track_dst = true;  ///< aggregate per destination ip
 };
 
-/// Per-window entity totals, pool-backed so every window's aggregation
-/// recycles the previous window's nodes (zero-alloc steady state).
-using TotalsMap = PooledMap<FlowKey, std::uint64_t>;
+/// One entity's total over a window. A window's totals are handed to the
+/// detector as a flat array sorted strictly ascending by `entity`.
+struct EntityTotal {
+  FlowKey entity;
+  std::uint64_t value = 0;
+};
 
 /// Streaming detector for ONE switch's window stream.
 class EntityDetector {
  public:
   EntityDetector(const DetectorConfig& cfg, int switch_id);
 
-  /// Consume one completed window (extracts per-entity totals, then scores).
+  /// Consume one completed window: project the table's live slots onto
+  /// entity totals in a reused flat buffer, sort and coalesce them, then
+  /// score. Costs O(capacity/64 + F + E log E) for F live flows and E <= 2F
+  /// entity contributions, and allocates nothing once the buffer has grown
+  /// to the working set.
   void OnWindow(const WindowResult& w);
 
-  /// Core step on pre-aggregated totals; exposed so unit tests can drive
-  /// the model without building controller tables. `totals` must be keyed
-  /// by kSrcIp/kDstIp entity keys.
-  void OnTotals(const TotalsMap& totals, SubWindowSpan span,
+  /// Core step on pre-aggregated totals (what OnWindow runs after its
+  /// aggregation); exposed so unit tests can drive the model without
+  /// building controller tables. `totals` must be keyed by kSrcIp/kDstIp
+  /// entity keys and sorted strictly ascending by key; throws
+  /// std::invalid_argument otherwise.
+  void OnTotals(std::span<const EntityTotal> totals, SubWindowSpan span,
                 Nanos completed_at, bool partial);
 
   const std::vector<Alert>& alerts() const { return alerts_; }
@@ -205,7 +219,11 @@ class EntityDetector {
   /// Checkpoint the tracked-entity models and stats. The alert stream is
   /// NOT captured — alerts already emitted belong to their consumer; a
   /// restored detector emits only post-restore transitions, and the
-  /// restore-side comparator concatenates the two streams.
+  /// restore-side comparator concatenates the two streams. Load decodes
+  /// into scratch state, bounds the entity count by the bytes left, rejects
+  /// unknown health states and out-of-order keys with SnapshotError, and
+  /// commits only once the whole section has decoded: a throw leaves the
+  /// detector unchanged.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
@@ -216,9 +234,26 @@ class EntityDetector {
     std::uint32_t idle_windows = 0;
   };
 
+  using EntityMap = PooledMap<FlowKey, EntityState>;
+
+  /// Checkpointed state decoded off a stream, not yet committed.
+  struct Decoded {
+    bool cold = true;
+    EntityMap entities;
+    Stats stats;
+  };
+  // DetectionService::Load decodes every detector before committing any.
+  friend class DetectionService;
+  Decoded Decode(SnapshotReader& r) const;
+  void Commit(Decoded&& d) noexcept;
+
   bool Admit(const FlowKey& key, double value, EntityState** out);
   void StepEntity(const FlowKey& key, EntityState& st, std::uint64_t value,
                   SubWindowSpan span, Nanos completed_at, bool partial);
+  /// OnTotals without the sortedness check (OnWindow's totals are sorted
+  /// by construction).
+  void Score(std::span<const EntityTotal> totals, SubWindowSpan span,
+             Nanos completed_at, bool partial);
 
   DetectorConfig cfg_;
   int switch_id_ = 0;
@@ -226,9 +261,13 @@ class EntityDetector {
   // Ordered so every pass over the tracked set is deterministic regardless
   // of how keys hash. Pool-backed: admission-capped churn (evict one,
   // admit one) recycles map nodes.
-  PooledMap<FlowKey, EntityState> entities_;
+  EntityMap entities_;
   std::vector<Alert> alerts_;
   Stats stats_;
+  // Per-window scratch, reused so steady-state windows do not allocate:
+  // OnWindow's entity totals and Score's deferred admissions.
+  std::vector<EntityTotal> totals_;
+  std::vector<EntityTotal> fresh_;
 
   obs::Counter* c_windows_ = nullptr;
   obs::Counter* c_partial_ = nullptr;
@@ -265,7 +304,9 @@ class DetectionService {
   EntityDetector::Stats TotalStats() const;
 
   /// Checkpoint every per-switch detector (alert streams excluded; see
-  /// EntityDetector::Save). Load verifies the switch count matches.
+  /// EntityDetector::Save). Load verifies the switch count matches and
+  /// decodes every detector before committing any, so a throw leaves the
+  /// whole service unchanged.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 

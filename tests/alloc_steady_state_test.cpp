@@ -7,7 +7,8 @@
 // same region under an alloc_trace::Scope and require the allocation count
 // inside the region to be exactly zero. In builds without OW_ALLOC_TRACE
 // the hook is compiled out, so the tests skip (the bench JSONs and the CI
-// alloc-gate job run the traced configuration).
+// alloc-gate job run the traced configuration). Regions: the controller
+// merge, the switch drain, and the detector's per-window scoring.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "src/controller/merge_engine.h"
 #include "src/controller/sharded_key_value_table.h"
 #include "src/core/data_plane.h"
+#include "src/detect/detect.h"
 #include "src/sketch/mv_sketch.h"
 #include "src/telemetry/query_builder.h"
 #include "src/telemetry/sketch_apps.h"
@@ -144,6 +146,43 @@ TEST(AllocSteadyState, MvSketchDrainHeapSilent) {
         "mv", FlowKeyKind::kFiveTuple, FrequencyValue::kPackets,
         [] { return std::make_unique<MvSketch>(4, 2048); });
   });
+}
+
+/// Detector region (the per-window detect.ms of the fabric benchmarks): a
+/// steady table raises no alerts, so after the first (cold, seeding) window
+/// every window reuses the flat totals buffer, the tracked-entity map and
+/// each entity's lag ring, and must not touch the heap.
+TEST(AllocSteadyState, DetectorWindowHeapSilent) {
+  if (!alloc_trace::Enabled()) {
+    GTEST_SKIP() << "OW_ALLOC_TRACE not compiled in";
+  }
+  KeyValueTable table(1 << 16);
+  bool created = false;
+  for (std::uint32_t i = 0; i < 900; ++i) {
+    // 300 sources x 90 destinations; a few sub-floor flows exercise the
+    // present-but-untracked branch.
+    const FlowKey key(FlowKeyKind::kFiveTuple,
+                      FiveTuple{0x0A000000u + i % 300, 0xC0A80000u + i % 90,
+                                std::uint16_t(1024 + i), 80, 6});
+    table.FindOrInsert(key, created).attrs[0] = i % 97 == 0 ? 1 : 40 + i % 50;
+  }
+  const TableView view(table);
+  detect::EntityDetector detector(detect::DetectorConfig{}, 0);
+  const auto window = [&](SubWindowNum w) {
+    WindowResult r;
+    r.span = {w, SubWindowNum(w + 4)};
+    r.table = &view;
+    r.completed_at = Nanos(w + 5) * 100 * kMilli;
+    detector.OnWindow(r);
+  };
+  window(0);  // cold: seeds and admits every entity
+  const alloc_trace::Scope scope;
+  for (SubWindowNum w = 1; w <= 20; ++w) window(w);
+  EXPECT_EQ(scope.news(), 0u)
+      << "EntityDetector::OnWindow allocated on the heap after the first "
+         "window";
+  EXPECT_TRUE(detector.alerts().empty());
+  EXPECT_EQ(detector.tracked(), 390u);
 }
 
 }  // namespace

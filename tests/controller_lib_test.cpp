@@ -1,9 +1,15 @@
-// Tests for the controller data structures: key-value table, merge
+// Tests for the controller data structures: key-value table (including its
+// occupancy-bitmap walks against a full-capacity reference scan), merge
 // strategies, batch kernels.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
 #include "src/controller/merge.h"
+#include "src/controller/sharded_key_value_table.h"
 
 namespace ow {
 namespace {
@@ -183,6 +189,220 @@ TEST(KeyValueTable, ForEachVisitsOnlyLive) {
     EXPECT_EQ(s.key, Key(2));
   });
   EXPECT_EQ(visited, 1u);
+}
+
+// ------------------------------------------- occupancy-bitmap iteration
+
+/// What a full-capacity scan of the slot array says the occupancy-driven
+/// walks must produce: the live slot indices in index order, and the exact
+/// bytes of a sparse checkpoint.
+struct ReferenceWalk {
+  std::vector<std::size_t> live;
+  std::vector<std::uint8_t> sparse;
+};
+
+ReferenceWalk WalkAllSlots(KeyValueTable& table) {
+  ReferenceWalk ref;
+  std::vector<std::size_t> used;
+  const KvSlot* slots = table.data();
+  for (std::size_t i = 0; i < table.capacity(); ++i) {
+    if (slots[i].state == KvSlot::State::kEmpty) continue;
+    used.push_back(i);
+    if (slots[i].state == KvSlot::State::kLive) ref.live.push_back(i);
+  }
+  SnapshotWriter w;
+  w.Section(snap::kKvTable);
+  w.U8(1);
+  w.Size(table.capacity());
+  w.Size(used.size());
+  for (const std::size_t i : used) {
+    w.U64(i);
+    w.Pod(slots[i]);
+  }
+  w.Size(ref.live.size());
+  w.Size(used.size());
+  w.U64(table.rejected_inserts());
+  ref.sparse = w.Take();
+  return ref;
+}
+
+std::vector<std::size_t> VisitedIndices(const KeyValueTable& table) {
+  std::vector<std::size_t> out;
+  table.ForEach([&](const KvSlot& s) { out.push_back(table.SlotIndex(s)); });
+  return out;
+}
+
+bool BackingIsFresh(KeyValueTable& table) {
+  KeyValueTable fresh(table.capacity());
+  return std::memcmp(table.data(), fresh.data(), table.backing_bytes()) == 0;
+}
+
+std::vector<std::uint8_t> SaveAs(const KeyValueTable& table,
+                                 KvSnapshotMode mode) {
+  SnapshotWriter w;
+  table.Save(w, mode);
+  return w.Take();
+}
+
+/// ForEach (mutable, const, through a TableView), sparse Save and Clear
+/// against the full-capacity reference walk.
+void ExpectWalksMatchReference(KeyValueTable& table) {
+  const ReferenceWalk ref = WalkAllSlots(table);
+  EXPECT_EQ(VisitedIndices(table), ref.live);
+  std::vector<std::size_t> mutable_visit;
+  table.ForEach(
+      [&](KvSlot& s) { mutable_visit.push_back(table.SlotIndex(s)); });
+  EXPECT_EQ(mutable_visit, ref.live);
+  std::vector<std::size_t> view_visit;
+  TableView(table).ForEach(
+      [&](const KvSlot& s) { view_visit.push_back(table.SlotIndex(s)); });
+  EXPECT_EQ(view_visit, ref.live);
+  EXPECT_EQ(SaveAs(table, KvSnapshotMode::kSparse), ref.sparse);
+
+  // Clear resets only occupied slots; the whole array must still come out
+  // equal to a fresh table's, and the cleared table must walk (and refill)
+  // like one.
+  KeyValueTable cleared = table;
+  cleared.Clear();
+  EXPECT_EQ(cleared.size(), 0u);
+  EXPECT_TRUE(BackingIsFresh(cleared));
+  EXPECT_TRUE(VisitedIndices(cleared).empty());
+  EXPECT_EQ(SaveAs(cleared, KvSnapshotMode::kSparse),
+            WalkAllSlots(cleared).sparse);
+  bool created = false;
+  KvSlot& refill = cleared.FindOrInsert(Key(0xFEED), created);
+  EXPECT_EQ(VisitedIndices(cleared),
+            std::vector<std::size_t>{cleared.SlotIndex(refill)});
+}
+
+/// Inserts, erases and tombstone reuse across several bitmap words.
+void Churn(KeyValueTable& table, std::uint32_t base) {
+  bool created = false;
+  for (std::uint32_t i = 0; i < 120; ++i) {
+    table.FindOrInsert(Key(base + i), created).attrs[0] = i + 1;
+  }
+  for (std::uint32_t i = 0; i < 120; i += 3) table.Erase(Key(base + i));
+  // Re-inserting erased keys and adding new ones reuses tombstones.
+  for (std::uint32_t i = 0; i < 60; i += 6) {
+    table.FindOrInsert(Key(base + i), created).attrs[0] = 7;
+  }
+  for (std::uint32_t i = 1000; i < 1020; ++i) {
+    table.FindOrInsert(Key(base + i), created).attrs[0] = 9;
+  }
+}
+
+TEST(KeyValueTable, OccupancyWalksMatchFullScanInEveryState) {
+  KeyValueTable table(256);
+  ExpectWalksMatchReference(table);  // empty
+  Churn(table, 1);
+  ExpectWalksMatchReference(table);
+
+  // Fill to the 7/8 limit: the refused insert must not touch the bitmap.
+  KeyValueTable full(256);
+  bool created = false;
+  std::uint32_t k = 1;
+  while (full.TryFindOrInsert(Key(k), created)) ++k;
+  EXPECT_EQ(full.rejected_inserts(), 1u);
+  EXPECT_EQ(full.size(), 224u);
+  ExpectWalksMatchReference(full);
+
+  // Clear in place, then churn again from the cleared state.
+  full.Clear();
+  ExpectWalksMatchReference(full);
+  EXPECT_TRUE(BackingIsFresh(full));
+  Churn(full, 5000);
+  ExpectWalksMatchReference(full);
+
+  // Dense and sparse loads rebuild the bitmap from the stream, replacing
+  // (not adding to) whatever the target held.
+  for (const KvSnapshotMode mode :
+       {KvSnapshotMode::kDense, KvSnapshotMode::kSparse}) {
+    KeyValueTable target(256);
+    Churn(target, 9000);
+    const std::vector<std::uint8_t> bytes = SaveAs(table, mode);
+    SnapshotReader r(bytes);
+    target.Load(r);
+    EXPECT_EQ(VisitedIndices(target), VisitedIndices(table));
+    ExpectWalksMatchReference(target);
+    EXPECT_EQ(SaveAs(target, KvSnapshotMode::kSparse),
+              SaveAs(table, KvSnapshotMode::kSparse));
+  }
+
+  // A load that throws leaves slots and bitmap as they were: one stream
+  // fails while reading, the other only at the tally check after the
+  // bitmap has been rebuilt.
+  std::vector<std::uint8_t> truncated = SaveAs(full, KvSnapshotMode::kSparse);
+  truncated.resize(truncated.size() - 9);
+  std::vector<std::uint8_t> bad_tally = SaveAs(full, KvSnapshotMode::kDense);
+  bad_tally[bad_tally.size() - 24] ^= 1;  // the live-slot tally
+  const std::vector<std::size_t> before = VisitedIndices(table);
+  const std::vector<std::uint8_t> before_bytes =
+      SaveAs(table, KvSnapshotMode::kSparse);
+  for (const auto* bytes : {&truncated, &bad_tally}) {
+    SnapshotReader r(*bytes);
+    EXPECT_THROW(table.Load(r), SnapshotError);
+    EXPECT_EQ(VisitedIndices(table), before);
+    EXPECT_EQ(SaveAs(table, KvSnapshotMode::kSparse), before_bytes);
+    ExpectWalksMatchReference(table);
+  }
+}
+
+TEST(ShardedKeyValueTable, OccupancyWalksMatchPerShardFullScans) {
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    ShardedKeyValueTable table(1024, shards);
+    bool created = false;
+    for (std::uint32_t i = 1; i <= 300; ++i) {
+      table.FindOrInsert(Key(i), created).attrs[0] = i;
+    }
+    for (std::uint32_t i = 1; i <= 300; i += 4) table.Erase(Key(i));
+    for (std::uint32_t i = 1; i <= 100; i += 8) {
+      table.FindOrInsert(Key(i), created);
+    }
+
+    // The sharded walk (direct and through a TableView) is each shard's
+    // reference walk, shard by shard.
+    const auto expected = [&] {
+      std::vector<const KvSlot*> out;
+      for (std::size_t s = 0; s < table.shard_count(); ++s) {
+        KeyValueTable& shard = table.shard(s);
+        ExpectWalksMatchReference(shard);
+        for (const std::size_t i : WalkAllSlots(shard).live) {
+          out.push_back(shard.data() + i);
+        }
+      }
+      return out;
+    };
+    const auto visit = [&] {
+      std::vector<const KvSlot*> out;
+      table.ForEach([&](KvSlot& s) { out.push_back(&s); });
+      std::vector<const KvSlot*> via_view;
+      TableView(table).ForEach([&](const KvSlot& s) { via_view.push_back(&s); });
+      EXPECT_EQ(via_view, out);
+      return out;
+    };
+    EXPECT_EQ(visit(), expected());
+
+    for (const KvSnapshotMode mode :
+         {KvSnapshotMode::kDense, KvSnapshotMode::kSparse}) {
+      SnapshotWriter w;
+      table.Save(w, mode);
+      const std::vector<std::uint8_t> bytes = w.Take();
+      ShardedKeyValueTable copy(1024, shards);
+      copy.FindOrInsert(Key(77777), created);
+      SnapshotReader r(bytes);
+      copy.Load(r);
+      for (std::size_t s = 0; s < shards; ++s) {
+        ExpectWalksMatchReference(copy.shard(s));
+        EXPECT_EQ(VisitedIndices(copy.shard(s)),
+                  VisitedIndices(table.shard(s)));
+      }
+    }
+
+    table.Clear();
+    EXPECT_EQ(visit(), expected());
+    EXPECT_TRUE(visit().empty());
+  }
 }
 
 // ----------------------------------------------------------------- merge

@@ -2,14 +2,22 @@
 //
 // Units: ScoreModel (floor, cold seed, lagged absorption, freeze),
 // HysteresisFsm (dwell, hysteresis band, two-stage recovery), EntityDetector
-// (cold-window seeding, top-K bound, idle eviction) and alert/ground-truth
-// matching. End to end: a fabric run over injected anomalies must detect
-// them streaming with bounded memory, and the alert stream must be
-// bit-identical across merge_threads and parallel engine thread counts.
+// (cold-window seeding, top-K bound, idle eviction, sorted-totals contract),
+// detector checkpoints (round trip; forged counts, bad state bytes and every
+// truncation leave the service unchanged) and alert/ground-truth matching.
+// End to end: a fabric run over injected anomalies must detect them
+// streaming with bounded memory, the alert stream must be bit-identical
+// across merge_threads and parallel engine thread counts, and a leaf-spine
+// evaluation run must reproduce a pinned alert digest.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <map>
 #include <vector>
+
+#include "src/common/hash.h"
+#include "src/common/snapshot.h"
 
 #include "src/core/network_runner.h"
 #include "src/detect/detect.h"
@@ -161,16 +169,21 @@ DetectorConfig SmallCfg() {
   return cfg;
 }
 
-void Feed(EntityDetector& d, const detect::TotalsMap& totals,
-          SubWindowNum window_index) {
+/// A window's totals as the tests write them; Feed flattens the map into
+/// the sorted array OnTotals takes.
+using Totals = std::map<FlowKey, std::uint64_t>;
+
+void Feed(EntityDetector& d, const Totals& totals, SubWindowNum window_index) {
+  std::vector<detect::EntityTotal> flat;
+  for (const auto& [entity, value] : totals) flat.push_back({entity, value});
   const SubWindowSpan span{window_index, SubWindowNum(window_index + 4)};
-  d.OnTotals(totals, span, Nanos(window_index + 5) * 100 * kMilli, false);
+  d.OnTotals(flat, span, Nanos(window_index + 5) * 100 * kMilli, false);
 }
 
 TEST(EntityDetector, ColdWindowSeedsWithoutAlerting) {
   EntityDetector d(SmallCfg(), 0);
   // A huge steady entity present from the start must never alert.
-  const detect::TotalsMap steady{{Src(1), 5000}, {Dst(2), 900}};
+  const Totals steady{{Src(1), 5000}, {Dst(2), 900}};
   for (SubWindowNum w = 0; w < 20; ++w) Feed(d, steady, w);
   EXPECT_TRUE(d.alerts().empty());
   EXPECT_EQ(d.tracked(), 2u);
@@ -178,7 +191,7 @@ TEST(EntityDetector, ColdWindowSeedsWithoutAlerting) {
 
 TEST(EntityDetector, DetectsSpikeAboveSeededBaselineAfterDwell) {
   EntityDetector d(SmallCfg(), 7);
-  detect::TotalsMap totals{{Src(1), 100}, {Dst(2), 50}};
+  Totals totals{{Src(1), 100}, {Dst(2), 50}};
   Feed(d, totals, 0);  // cold: seeds 100 / 50
   Feed(d, totals, 1);
   Feed(d, totals, 2);
@@ -214,7 +227,7 @@ TEST(EntityDetector, DetectsSpikeAboveSeededBaselineAfterDwell) {
 
 TEST(EntityDetector, FreshEntityAboveFloorTimesEnterAlertsQuickly) {
   EntityDetector d(SmallCfg(), 0);
-  detect::TotalsMap totals{{Src(1), 100}};
+  Totals totals{{Src(1), 100}};
   Feed(d, totals, 0);  // cold
   totals[Dst(9)] = 90;  // fresh entity, score 90/20 = 4.5
   Feed(d, totals, 1);
@@ -227,7 +240,7 @@ TEST(EntityDetector, TopKBoundHoldsAndKeepsTheLargest) {
   DetectorConfig cfg = SmallCfg();
   cfg.max_entities = 4;
   EntityDetector d(cfg, 0);
-  detect::TotalsMap totals;
+  Totals totals;
   for (std::uint32_t i = 1; i <= 6; ++i) totals[Src(i)] = 100 * i;
   Feed(d, totals, 0);
   EXPECT_EQ(d.tracked(), 4u);
@@ -268,17 +281,166 @@ TEST(EntityDetector, CapacityEvictionOfMergeCursorEntityIsSafe) {
   EXPECT_EQ(d.alerts()[0].to, HealthState::kDegraded);
 }
 
+TEST(EntityDetector, OnTotalsRejectsUnsortedOrDuplicateKeys) {
+  EntityDetector d(SmallCfg(), 0);
+  const SubWindowSpan span{0, 4};
+  const std::vector<detect::EntityTotal> unsorted{{Src(2), 100},
+                                                  {Src(1), 100}};
+  EXPECT_THROW(d.OnTotals(unsorted, span, 0, false), std::invalid_argument);
+  const std::vector<detect::EntityTotal> duplicate{{Src(1), 100},
+                                                   {Src(1), 100}};
+  EXPECT_THROW(d.OnTotals(duplicate, span, 0, false), std::invalid_argument);
+  // Rejected before any state moved: the next window is still the cold one.
+  EXPECT_EQ(d.stats().windows, 0u);
+  Feed(d, {{Src(1), 100}}, 0);
+  EXPECT_EQ(d.tracked(), 1u);
+  EXPECT_TRUE(d.alerts().empty());
+}
+
 TEST(EntityDetector, IdleQuietEntitiesAreEvicted) {
   DetectorConfig cfg = SmallCfg();
   cfg.idle_evict_windows = 3;
   EntityDetector d(cfg, 0);
-  detect::TotalsMap totals{{Src(1), 100}, {Src(2), 100}};
+  Totals totals{{Src(1), 100}, {Src(2), 100}};
   Feed(d, totals, 0);
   EXPECT_EQ(d.tracked(), 2u);
   totals.erase(Src(2));
   for (SubWindowNum w = 1; w <= 3; ++w) Feed(d, totals, w);
   EXPECT_EQ(d.tracked(), 1u);
   EXPECT_GT(d.stats().evictions, 0u);
+}
+
+// --- detector checkpoints ---------------------------------------------------
+
+/// One window on switch `sw` whose table holds 40 five-tuple flows; source
+/// 10.0.0.1 carries `spike` packets, the others a steady 51..89.
+void FeedWindow(DetectionService& svc, std::size_t sw, SubWindowNum w,
+                std::uint64_t spike) {
+  KeyValueTable table(256);
+  bool created = false;
+  for (std::uint32_t i = 1; i <= 40; ++i) {
+    const FlowKey key(FlowKeyKind::kFiveTuple,
+                      {.src_ip = 0x0A000000u + i, .dst_ip = 0xC0A80000u + i % 4,
+                       .src_port = 1000, .dst_port = 80, .proto = 6});
+    table.FindOrInsert(key, created).attrs[0] = i == 1 ? spike : 50 + i;
+  }
+  const TableView view(table);
+  WindowResult r;
+  r.span = {w, SubWindowNum(w + 4)};
+  r.table = &view;
+  r.completed_at = Nanos(w + 5) * 100 * kMilli;
+  svc.OnWindow(sw, r);
+}
+
+/// Ten windows on two switches; switch 1 sees a spike that escalates its
+/// entity, so the checkpoint carries non-healthy FSM states.
+DetectionService WarmService() {
+  DetectionService svc(SmallCfg(), 2);
+  for (SubWindowNum w = 0; w < 10; ++w) {
+    FeedWindow(svc, 0, w, 60);
+    FeedWindow(svc, 1, w, w >= 3 ? 4000 : 60);
+  }
+  return svc;
+}
+
+std::vector<std::uint8_t> SaveBytes(const DetectionService& svc) {
+  SnapshotWriter w;
+  svc.Save(w);
+  return w.Take();
+}
+
+/// Offset of switch 1's detector section: the stream header (8), the switch
+/// count (8) and switch 0's section.
+std::size_t SecondSectionOffset(const DetectionService& svc) {
+  SnapshotWriter w;
+  svc.detector(0).Save(w);
+  return 8 + 8 + (w.buffer().size() - 8);
+}
+
+/// A failed Load must leave `svc` byte-identical to `before` and usable: one
+/// more window on both switches lands exactly as on a clean restore.
+void ExpectUnchangedAndUsable(DetectionService& svc,
+                              const std::vector<std::uint8_t>& before) {
+  ASSERT_EQ(SaveBytes(svc), before);
+  DetectionService clean(SmallCfg(), 2);
+  SnapshotReader r(before);
+  clean.Load(r);
+  for (DetectionService* s : {&svc, &clean}) {
+    FeedWindow(*s, 0, 10, 60);
+    FeedWindow(*s, 1, 10, 4000);
+  }
+  EXPECT_EQ(SaveBytes(svc), SaveBytes(clean));
+}
+
+TEST(DetectSnapshot, RoundTripRestoresEveryDetector) {
+  DetectionService svc = WarmService();
+  ASSERT_FALSE(svc.Alerts().empty());
+  const std::vector<std::uint8_t> bytes = SaveBytes(svc);
+  DetectionService restored(SmallCfg(), 2);
+  SnapshotReader r(bytes);
+  restored.Load(r);
+  EXPECT_EQ(SaveBytes(restored), bytes);
+  EXPECT_EQ(restored.tracked_total(), svc.tracked_total());
+}
+
+TEST(DetectSnapshot, ForgedEntityCountLeavesServiceUnchanged) {
+  DetectionService src = WarmService();
+  std::vector<std::uint8_t> bytes = SaveBytes(src);
+  // Switch 1's entity count sits after its section tag (4) and cold flag
+  // (1); forging it must not let switch 0's section commit either.
+  const std::size_t at = SecondSectionOffset(src) + 4 + 1;
+  const std::uint64_t forged = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + at, &forged, sizeof forged);
+
+  DetectionService svc(SmallCfg(), 2);
+  FeedWindow(svc, 0, 0, 60);
+  FeedWindow(svc, 1, 0, 60);
+  const std::vector<std::uint8_t> before = SaveBytes(svc);
+  SnapshotReader r(bytes);
+  EXPECT_THROW(svc.Load(r), SnapshotError);
+  ExpectUnchangedAndUsable(svc, before);
+}
+
+TEST(DetectSnapshot, BadHealthStateByteIsRejected) {
+  DetectionService src = WarmService();
+  std::vector<std::uint8_t> bytes = SaveBytes(src);
+  // Switch 1's first entity: key, baseline, lag-ring length + values, then
+  // the FSM's state byte.
+  const std::size_t entity = SecondSectionOffset(src) + 4 + 1 + 8;
+  std::uint64_t ring = 0;
+  std::memcpy(&ring, bytes.data() + entity + sizeof(FlowKey) + 8, 8);
+  const std::size_t state = entity + sizeof(FlowKey) + 8 + 8 + ring * 8;
+  ASSERT_LT(state, bytes.size());
+  ASSERT_LE(bytes[state], std::uint8_t(HealthState::kDown));
+
+  DetectionService svc = WarmService();
+  const std::vector<std::uint8_t> before = SaveBytes(svc);
+  for (const std::uint8_t bad : {std::uint8_t{3}, std::uint8_t{0xFF}}) {
+    for (const std::size_t at : {state, state + 1}) {  // state_, prev_
+      std::vector<std::uint8_t> forged = bytes;
+      forged[at] = bad;
+      SnapshotReader r(forged);
+      EXPECT_THROW(svc.Load(r), SnapshotError);
+      ASSERT_EQ(SaveBytes(svc), before);
+    }
+  }
+  ExpectUnchangedAndUsable(svc, before);
+}
+
+TEST(DetectSnapshot, EveryTruncationLeavesServiceUnchanged) {
+  const std::vector<std::uint8_t> bytes = SaveBytes(WarmService());
+  DetectionService svc(SmallCfg(), 2);
+  FeedWindow(svc, 0, 0, 60);
+  FeedWindow(svc, 1, 0, 60);
+  const std::vector<std::uint8_t> before = SaveBytes(svc);
+  // Every cut from inside the first detector section to the last byte.
+  for (std::size_t len = 8 + 8; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + len);
+    SnapshotReader r(cut);
+    EXPECT_THROW(svc.Load(r), SnapshotError) << "cut at " << len;
+    ASSERT_EQ(SaveBytes(svc), before) << "cut at " << len;
+  }
+  ExpectUnchangedAndUsable(svc, before);
 }
 
 // --- ground-truth matching -------------------------------------------------
@@ -441,10 +603,76 @@ TEST(DetectEndToEnd, AlertStreamBitIdenticalAcrossEngineThreads) {
   EXPECT_EQ(a, b);
 }
 
+/// Digest of a whole detection run: every alert in canonical order (switch,
+/// entity, transition, span, completion time, value, partial flag and the
+/// score's bit pattern) chained, then the summed detector stats. Integers
+/// only (Mix64, FlowKey::Hash, bit_cast), so every compiler computes the
+/// same value.
+std::uint64_t AlertDigest(const DetectionService& svc) {
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::uint64_t f) { h = Mix64(h ^ f); };
+  for (const Alert& a : svc.Alerts()) {
+    mix(std::uint64_t(a.switch_id));
+    mix(a.entity.Hash(0xA1E27ull));
+    mix(std::uint64_t(a.from));
+    mix(std::uint64_t(a.to));
+    mix(a.span.first);
+    mix(a.span.last);
+    mix(std::uint64_t(a.completed_at));
+    mix(a.value);
+    mix(a.partial);
+    mix(std::bit_cast<std::uint64_t>(a.score));
+  }
+  const EntityDetector::Stats t = svc.TotalStats();
+  for (const std::uint64_t f :
+       {t.windows, t.partial_windows, t.transitions_degraded,
+        t.transitions_down, t.recoveries, t.evictions, t.admissions_rejected,
+        std::uint64_t(t.tracked_peak)}) {
+    mix(f);
+  }
+  return h;
+}
+
+// The alert stream of a leaf-spine evaluation run (every anomaly kind the
+// generator injects, thinned to 20k packets/s over 2 s), pinned to a
+// recorded digest. Comparing thread counts with each other cannot catch a
+// change to the aggregation or scoring that shifts every run alike; this
+// can. A deliberate change to detector behaviour re-records the value.
+TEST(DetectEndToEnd, LeafSpineAlertDigestMatchesRecorded) {
+  TraceConfig tc;
+  tc.seed = 7;
+  tc.duration = 2 * kSecond;
+  tc.packets_per_sec = 20'000;
+  tc.num_flows = 4'000;
+  TraceGenerator gen(tc);
+  const Trace trace = gen.GenerateEvaluationTrace();
+
+  TopologyConfig topo;
+  topo.kind = TopologyKind::kLeafSpine;
+  topo.leaves = 2;
+  topo.spines = 2;
+  for (const std::size_t threads : {0u, 2u}) {
+    NetworkRunConfig cfg;
+    cfg.base = RunConfig::Make(SlidingSpec());
+    cfg.base.controller.kv_capacity = 1 << 16;
+    cfg.topology = topo;
+    cfg.link.latency = 20 * kMicro;
+    cfg.link.jitter = 0;
+    cfg.parallel.threads = threads;
+    DetectionService svc(DetectorConfig{}, TopologySwitchCount(topo));
+    cfg.window_observer = svc.Observer();
+    RunOmniWindowFabric(
+        trace, [](std::size_t) { return std::make_shared<ExactCountApp>(); },
+        cfg);
+    ASSERT_FALSE(svc.Alerts().empty());
+    EXPECT_EQ(AlertDigest(svc), 0xbcae50a65fa68ebdull) << "threads=" << threads;
+  }
+}
+
 TEST(DetectObs, CountersTrackWindowsAndTransitions) {
   obs::Global().Reset();
   EntityDetector d(SmallCfg(), 0);
-  detect::TotalsMap totals{{Src(1), 100}};
+  Totals totals{{Src(1), 100}};
   Feed(d, totals, 0);
   totals[Src(1)] = 600;
   for (SubWindowNum w = 1; w < 4; ++w) Feed(d, totals, w);

@@ -9,7 +9,8 @@
 // occupancy range, the durable-file framing (every bit flip and truncation
 // of a WriteFile checkpoint is caught, with the error naming the section and
 // absolute file offsets), forged lane and table counts in Switch and
-// ExactCountApp checkpoints, and the delta-checkpoint encode/apply pair.
+// ExactCountApp checkpoints, stray bytes in a dense stream's empty slots,
+// and the delta-checkpoint encode/apply pair.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -205,6 +206,32 @@ TEST(SnapshotHardening, ForgedExactCountAppCountIsRejected) {
   ExactCountApp dst;
   SnapshotReader r(bytes);
   EXPECT_THROW(dst.LoadState(r), SnapshotError);
+}
+
+TEST(SnapshotHardening, DenseStrayBytesInEmptySlotAreNormalizedOnLoad) {
+  KeyValueTable src(64);
+  Fill(src, 10, /*with_tombstones=*/true);
+  std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kDense);
+  // Scribble over every byte of one empty slot except its state byte (which
+  // stays kEmpty): the stream is still a valid table.
+  std::size_t empty = 0;
+  while (src.data()[empty].state != KvSlot::State::kEmpty) ++empty;
+  const std::size_t at = kKvHeaderBytes + empty * sizeof(KvSlot);
+  for (std::size_t b = 0; b < sizeof(KvSlot); ++b) {
+    if (b != offsetof(KvSlot, state)) bytes[at + b] = 0xA5;
+  }
+
+  KeyValueTable dst(64);
+  ASSERT_NO_THROW(LoadInto(dst, bytes));
+  EXPECT_TRUE(BackingEqual(dst, src)) << "empty slot kept the stray bytes";
+  // Clear resets only occupied slots, so it relies on every empty slot
+  // already being zero: afterwards the table is byte-identical to a fresh
+  // one, in memory and in a dense checkpoint.
+  dst.Clear();
+  const KeyValueTable fresh(64);
+  EXPECT_TRUE(BackingEqual(dst, fresh));
+  EXPECT_EQ(SaveBytes(dst, KvSnapshotMode::kDense),
+            SaveBytes(fresh, KvSnapshotMode::kDense));
 }
 
 // --- KeyValueTable::Load strong exception guarantee -------------------------
