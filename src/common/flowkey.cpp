@@ -29,6 +29,16 @@ FlowKey FlowKey::FromRaw(FlowKeyKind kind,
   return k;
 }
 
+bool FlowKey::WellFormed() const noexcept {
+  if (static_cast<std::uint8_t>(kind_) >
+          static_cast<std::uint8_t>(FlowKeyKind::kSrcIpDstPort) ||
+      len_ > bytes_.size()) {
+    return false;
+  }
+  return std::all_of(bytes_.begin() + len_, bytes_.end(),
+                     [](std::uint8_t b) { return b == 0; });
+}
+
 FlowKey::FlowKey(FlowKeyKind kind, const FiveTuple& t) : kind_(kind) {
   auto put32 = [this](std::uint32_t v, std::size_t at) {
     std::memcpy(bytes_.data() + at, &v, 4);

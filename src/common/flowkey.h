@@ -66,6 +66,12 @@ class FlowKey {
 
   friend auto operator<=>(const FlowKey&, const FlowKey&) = default;
 
+  /// True when the invariants every constructor keeps hold: a named kind,
+  /// a length within bytes_, and zeros past it (operator<=> compares the
+  /// padding). Keys decoded from untrusted bytes must pass this before use
+  /// (snapshot ReadFlowKey).
+  bool WellFormed() const noexcept;
+
   std::string ToString() const;
 
   // --- field accessors (valid only for kinds that retain the field) ---

@@ -9,16 +9,73 @@
 namespace ow {
 namespace {
 
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;  // IEEE 802.3, reflected
+
+/// Slice-by-8 tables: t[0] is the classic bytewise table, and t[s][b] is
+/// the CRC of byte b followed by s zero bytes, so one lookup per table
+/// advances the register over 8 input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? kCrcPoly ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t s = 1; s < 8; ++s) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+/// Little-endian load, independent of the host's byte order.
+std::uint32_t LoadLe32(const std::uint8_t* p) {
+  return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+         std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
+}
+
+/// a(x) * b(x) modulo the CRC polynomial, both in reflected bit order
+/// (bit 31 is the x^0 coefficient).
+constexpr std::uint32_t MultModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1) ? (b >> 1) ^ kCrcPoly : b >> 1;
+  }
+  return p;
+}
+
+/// x^(2^k) modulo the polynomial, k = 0..31. The order of x modulo the
+/// CRC-32 polynomial divides 2^32 - 1, so x^(2^(k+32)) = x^(2^k) and 32
+/// entries cover every 64-bit length (zlib's x2n_table).
+constexpr std::array<std::uint32_t, 32> MakeX2nTable() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  t[0] = p;
+  for (std::size_t k = 1; k < 32; ++k) t[k] = p = MultModP(p, p);
+  return t;
+}
+
+constexpr std::array<std::uint32_t, 32> kX2n = MakeX2nTable();
+
+/// x^(n * 8) modulo the polynomial: the operator that shifts a CRC register
+/// past n zero bytes.
+std::uint32_t X8nModP(std::uint64_t n) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (unsigned k = 3; n != 0; n >>= 1, ++k) {
+    if (n & 1) p = MultModP(kX2n[k & 31], p);
+  }
+  return p;
 }
 
 std::string HexTag(std::uint32_t tag) {
@@ -48,13 +105,23 @@ std::uint32_t ReadU32(const std::uint8_t* p) {
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = MakeCrcTable();
+  const auto& t = kCrcTables;
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = LoadLe32(p) ^ c;
+    const std::uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n != 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b) {
+  return MultModP(X8nModP(len_b), crc_a) ^ crc_b;
 }
 
 SnapshotWriter::SnapshotWriter() {
@@ -69,7 +136,9 @@ void SnapshotWriter::WriteFile(const std::string& path) const {
   }
   // Per-section CRC index: entry i covers [offset_i, offset_{i+1}), the
   // last entry running to the end of the payload. The 8-byte magic/version
-  // header before the first section is covered by the whole-payload CRC.
+  // header before the first section is covered by the whole-payload CRC,
+  // which is combined from the header's and the sections' CRCs, so every
+  // payload byte passes through the CRC kernel exactly once.
   std::vector<std::uint8_t> index;
   index.reserve(4 + sections_.size() * kIndexEntryBytes + 4);
   auto put = [&index](const void* p, std::size_t n) {
@@ -79,11 +148,15 @@ void SnapshotWriter::WriteFile(const std::string& path) const {
   };
   const std::uint32_t count = std::uint32_t(sections_.size());
   put(&count, 4);
+  const std::uint64_t head =
+      sections_.empty() ? buf_.size() : sections_.front().offset;
+  std::uint32_t payload_crc = Crc32(buf_.data(), head);
   for (std::size_t i = 0; i < sections_.size(); ++i) {
     const std::uint64_t end =
         i + 1 < sections_.size() ? sections_[i + 1].offset : buf_.size();
-    const std::uint32_t crc =
-        Crc32(buf_.data() + sections_[i].offset, end - sections_[i].offset);
+    const std::uint64_t len = end - sections_[i].offset;
+    const std::uint32_t crc = Crc32(buf_.data() + sections_[i].offset, len);
+    payload_crc = Crc32Combine(payload_crc, crc, len);
     put(&sections_[i].tag, 4);
     put(&sections_[i].offset, 8);
     put(&crc, 4);
@@ -93,7 +166,6 @@ void SnapshotWriter::WriteFile(const std::string& path) const {
 
   const std::uint64_t payload_len = buf_.size();
   const std::uint64_t index_len = index.size();
-  const std::uint32_t payload_crc = Crc32(buf_.data(), buf_.size());
   out.write(reinterpret_cast<const char*>(buf_.data()),
             std::streamsize(buf_.size()));
   out.write(reinterpret_cast<const char*>(index.data()),
@@ -396,7 +468,10 @@ std::vector<std::uint8_t> ApplySnapshotDelta(
 }
 
 void SavePacket(SnapshotWriter& w, const Packet& p) {
-  w.Section(snap::kPacket);
+  // One index entry per pending packet would make the file index O(packets);
+  // a corrupt packet byte is blamed on the switch or program section that
+  // holds the lane instead.
+  w.Tag(snap::kPacket);
   w.Pod(p.ft);
   w.Pod(p.size_bytes);
   w.Pod(p.ts);
@@ -425,10 +500,27 @@ void LoadPacket(SnapshotReader& r, Packet& p) {
   r.Pod(p.ow.subwindow_num);
   r.Pod(p.ow.flag);
   r.Pod(p.ow.app_id);
-  r.Pod(p.ow.injected_key);
+  p.ow.injected_key = ReadFlowKey(r);
   r.Pod(p.ow.payload);
   p.ow.degraded = r.Bool();
   r.PodVec(p.ow.afrs);
+  for (const FlowRecord& rec : p.ow.afrs) CheckFlowKey(r, rec.key);
+}
+
+void CheckFlowKey(const SnapshotReader& r, const FlowKey& key) {
+  if (key.WellFormed()) return;
+  throw SnapshotError(
+      "malformed flow key" +
+      (r.current_section() == 0 ? std::string()
+                                : " in section " + HexTag(r.current_section())) +
+      " before offset " + std::to_string(r.position()) +
+      ": kind, length or padding out of range");
+}
+
+FlowKey ReadFlowKey(SnapshotReader& r) {
+  const FlowKey key = r.Get<FlowKey>();
+  CheckFlowKey(r, key);
+  return key;
 }
 
 }  // namespace ow

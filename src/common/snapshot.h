@@ -26,7 +26,9 @@
 // and a CRC32 footer, and ReadSnapshotFile verifies both before handing
 // the payload back — a bad byte anywhere in the file is reported with its
 // ABSOLUTE file offset and the section tag it falls in (see
-// docs/snapshot_format.md for the exact layout).
+// docs/snapshot_format.md for the exact layout). The index holds one entry
+// per layer Section, not per packet (packets carry an unindexed Tag), and
+// WriteFile passes each payload byte through the CRC kernel once.
 //
 // What is NOT captured: configuration (window spec, topology, seeds,
 // std::function handlers) — the restoring side rebuilds those from the
@@ -58,9 +60,16 @@ inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;
 /// Header magic of a controller-plane delta checkpoint ("OWDL").
 inline constexpr std::uint32_t kSnapshotDeltaMagic = 0x4F57444Cu;
 
-/// CRC-32 (IEEE 802.3, reflected). `seed` chains incremental computation:
-/// pass the previous return value to continue over a second buffer.
+/// CRC-32 (IEEE 802.3, reflected), slice-by-8. `seed` chains incremental
+/// computation: pass the previous return value to continue over a second
+/// buffer.
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+/// CRC-32 of A followed by B, given Crc32(A), Crc32(B) and B's length:
+/// Crc32Combine(Crc32(a, na), Crc32(b, nb), nb) == Crc32(ab, na + nb).
+/// O(log len_b); touches no data bytes.
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b);
 
 class SnapshotWriter {
  public:
@@ -106,9 +115,22 @@ class SnapshotWriter {
     U32(tag);
   }
 
+  /// The same u32 marker as Section, verified the same way by
+  /// SnapshotReader::Section, but with no index entry: for records that
+  /// repeat per element (packets), so the file index stays O(layers) and a
+  /// corrupt byte in one is blamed on the enclosing Section.
+  void Tag(std::uint32_t tag) { U32(tag); }
+
+  /// Pre-size the buffer for a stream of about `bytes` (e.g. the previous
+  /// checkpoint's size), so a large snapshot is not built by repeated
+  /// doubling and copying. Changes no output byte.
+  void Reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
   /// Write the buffer as a durable checkpoint file: payload, per-section
-  /// CRC index, CRC32 footer (docs/snapshot_format.md). Throws
-  /// SnapshotError on I/O failure.
+  /// CRC index, CRC32 footer (docs/snapshot_format.md). Each payload byte
+  /// is CRC'd once: the per-section CRCs are computed directly and the
+  /// footer's whole-payload CRC is combined from them (Crc32Combine).
+  /// Throws SnapshotError on I/O failure.
   void WriteFile(const std::string& path) const;
 
   const std::vector<std::uint8_t>& buffer() const noexcept { return buf_; }
@@ -277,7 +299,23 @@ inline void CheckShape(std::uint32_t section_tag, const char* layer,
 
 struct Packet;
 
+/// A packet is framed by an unindexed Tag(snap::kPacket), not a Section.
+/// LoadPacket validates every FlowKey it decodes (CheckFlowKey).
 void SavePacket(SnapshotWriter& w, const Packet& p);
 void LoadPacket(SnapshotReader& r, Packet& p);
+
+// ---- Flow keys ------------------------------------------------------------
+// A FlowKey is stored with Pod(). Its bytes are untrusted like any other:
+// an out-of-range length would make Hash/ToString read past the key, and
+// nonzero padding would break the defaulted ordering.
+
+class FlowKey;
+
+/// Throws SnapshotError, naming the reader's section and offset, unless
+/// `key` is FlowKey::WellFormed.
+void CheckFlowKey(const SnapshotReader& r, const FlowKey& key);
+
+/// Read a FlowKey written with SnapshotWriter::Pod and CheckFlowKey it.
+FlowKey ReadFlowKey(SnapshotReader& r);
 
 }  // namespace ow

@@ -140,7 +140,7 @@ void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   w.U64(rejected_);
 }
 
-void KeyValueTable::Load(SnapshotReader& r) {
+KeyValueTable::Decoded KeyValueTable::Decode(SnapshotReader& r) const {
   r.Section(snap::kKvTable);
   const std::size_t cap = slots_.size();
   const std::uint8_t mode = r.U8();
@@ -149,10 +149,12 @@ void KeyValueTable::Load(SnapshotReader& r) {
                         std::to_string(mode));
   }
   // Everything below validates against scratch state; this table is only
-  // touched once the whole section (counts included) has checked out, so a
-  // caller that catches the throw keeps a usable, unchanged table.
+  // touched by Commit, once the whole section (counts included) has checked
+  // out, so a caller that catches the throw keeps a usable, unchanged table.
   CheckShape(snap::kKvTable, "KeyValueTable", "capacity", cap, r.Size());
-  std::vector<KvSlot> scratch(cap);
+  Decoded d;
+  std::vector<KvSlot>& scratch = d.slots;
+  scratch.resize(cap);
   if (mode == 1) {
     const std::size_t occupied = r.Count(8 + sizeof(KvSlot));
     if (occupied > cap) {
@@ -176,13 +178,14 @@ void KeyValueTable::Load(SnapshotReader& r) {
   }
   const std::size_t live = r.Size();
   const std::size_t used = r.Size();
-  const std::uint64_t rejected = r.U64();
+  d.rejected = r.U64();
   // Verify the stream's tallies against the array it described: a corrupt
   // state byte or dropped sparse entry surfaces here, not as a probe-chain
-  // heisenbug three windows later. The same pass rebuilds the used bitmap
-  // and zeroes every empty slot (a dense stream may carry stray bytes in
-  // one), which Clear relies on when it resets only occupied slots.
-  PooledVector<std::uint64_t> used_bits(used_bits_.size());
+  // heisenbug three windows later. The same pass rebuilds the used bitmap,
+  // checks every occupied slot's key (CheckFlowKey), and zeroes every empty
+  // slot (a dense stream may carry stray bytes in one), which Clear relies
+  // on when it resets only occupied slots.
+  d.used_bits.resize(used_bits_.size());
   std::size_t rebuilt_live = 0, rebuilt_used = 0;
   for (std::size_t i = 0; i < cap; ++i) {
     // Compare as raw bytes: the state came off an untrusted stream and may
@@ -198,18 +201,29 @@ void KeyValueTable::Load(SnapshotReader& r) {
       throw SnapshotError("KeyValueTable: invalid slot state " +
                           std::to_string(unsigned(st)));
     }
+    CheckFlowKey(r, scratch[i].key);
     ++rebuilt_used;
-    used_bits[i / 64] |= std::uint64_t{1} << (i % 64);
+    d.used_bits[i / 64] |= std::uint64_t{1} << (i % 64);
   }
   CheckShape(snap::kKvTable, "KeyValueTable", "live slots", rebuilt_live,
              live);
   CheckShape(snap::kKvTable, "KeyValueTable", "occupied slots", rebuilt_used,
              used);
-  std::memcpy(slots_.data(), scratch.data(), cap * sizeof(KvSlot));
-  used_bits_.swap(used_bits);
-  live_ = live;
-  used_ = used;
-  rejected_ = rejected;
+  d.live = live;
+  d.used = used;
+  return d;
 }
+
+void KeyValueTable::Commit(Decoded&& d) noexcept {
+  // Copy into the existing array rather than adopting d.slots: the backing
+  // address is what RDMA registration and published slot offsets point at.
+  std::memcpy(slots_.data(), d.slots.data(), slots_.size() * sizeof(KvSlot));
+  used_bits_.swap(d.used_bits);
+  live_ = d.live;
+  used_ = d.used;
+  rejected_ = d.rejected;
+}
+
+void KeyValueTable::Load(SnapshotReader& r) { Commit(Decode(r)); }
 
 }  // namespace ow

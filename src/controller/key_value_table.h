@@ -145,6 +145,20 @@ class KeyValueTable {
   }
 
  private:
+  /// A checkpointed table decoded and validated off a stream, not yet
+  /// committed.
+  struct Decoded {
+    std::vector<KvSlot> slots;
+    PooledVector<std::uint64_t> used_bits;
+    std::size_t live = 0;
+    std::size_t used = 0;
+    std::uint64_t rejected = 0;
+  };
+  // ShardedKeyValueTable::Load decodes every shard before committing any.
+  friend class ShardedKeyValueTable;
+  Decoded Decode(SnapshotReader& r) const;
+  void Commit(Decoded&& d) noexcept;
+
   static std::uint64_t HashOf(const FlowKey& key);
   std::size_t Probe(const FlowKey& key) const;
 

@@ -74,7 +74,14 @@ void ShardedKeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
 void ShardedKeyValueTable::Load(SnapshotReader& r) {
   CheckShape(snap::kKvTable, "ShardedKeyValueTable", "shard count",
              shards_.size(), r.Size());
-  for (KeyValueTable& s : shards_) s.Load(r);
+  // Decode every shard before committing any: a stream that fails in a
+  // later shard leaves the whole table unchanged.
+  std::vector<KeyValueTable::Decoded> decoded;
+  decoded.reserve(shards_.size());
+  for (const KeyValueTable& s : shards_) decoded.push_back(s.Decode(r));
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i].Commit(std::move(decoded[i]));
+  }
 }
 
 }  // namespace ow

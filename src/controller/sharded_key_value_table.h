@@ -66,7 +66,9 @@ class ShardedKeyValueTable {
 
   /// Checkpoint every shard (`mode` selects the per-shard encoding — see
   /// KvSnapshotMode). Load verifies the shard count matches (shard routing
-  /// depends on it) and throws SnapshotError otherwise.
+  /// depends on it) and throws SnapshotError otherwise. Load is all or
+  /// nothing: it decodes every shard before committing any, so on a throw
+  /// no shard has changed.
   void Save(SnapshotWriter& w,
             KvSnapshotMode mode = KvSnapshotMode::kAuto) const;
   void Load(SnapshotReader& r);

@@ -227,14 +227,18 @@ void FabricSession::BuildSnapshot(SnapshotWriter& w,
 
 std::vector<std::uint8_t> FabricSession::Snapshot(KvSnapshotMode mode) {
   SnapshotWriter w;
+  w.Reserve(last_snapshot_bytes_);
   BuildSnapshot(w, mode);
+  last_snapshot_bytes_ = w.buffer().size();
   return w.Take();
 }
 
 void FabricSession::SnapshotToFile(const std::string& path,
                                    KvSnapshotMode mode) {
   SnapshotWriter w;
+  w.Reserve(last_snapshot_bytes_);
   BuildSnapshot(w, mode);
+  last_snapshot_bytes_ = w.buffer().size();
   w.WriteFile(path);
 }
 

@@ -164,8 +164,11 @@ class FabricSession {
       KvSnapshotMode mode = KvSnapshotMode::kAuto);
 
   /// Snapshot() straight into a durable checkpoint file (per-section CRC
-  /// index + CRC32 footer; docs/snapshot_format.md). Throws SnapshotError
-  /// on I/O failure.
+  /// index + CRC32 footer; docs/snapshot_format.md). The index has one
+  /// entry per layer section, independent of how many packets are pending,
+  /// and each payload byte is CRC'd once. Both Snapshot paths reserve the
+  /// previous snapshot's size up front, so a steady cadence builds its
+  /// buffer without regrowth. Throws SnapshotError on I/O failure.
   void SnapshotToFile(const std::string& path,
                       KvSnapshotMode mode = KvSnapshotMode::kAuto);
 
@@ -250,6 +253,9 @@ class FabricSession {
   NetworkRunResult result_;
   /// Per-switch catch-up targets recorded by FailOver (empty = no takeover).
   std::vector<SubWindowNum> takeover_targets_;
+  /// Stream size of the last Snapshot/SnapshotToFile: the next one's
+  /// SnapshotWriter::Reserve.
+  std::size_t last_snapshot_bytes_ = 0;
   bool finished_ = false;
 };
 

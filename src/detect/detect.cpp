@@ -426,7 +426,7 @@ EntityDetector::Decoded EntityDetector::Decode(SnapshotReader& r) const {
   d.cold = r.Bool();
   const std::size_t n = r.Count(kMinEntityBytes);
   for (std::size_t i = 0; i < n; ++i) {
-    const FlowKey key = r.Get<FlowKey>();
+    const FlowKey key = ReadFlowKey(r);
     // Save walks the ordered map, so keys arrive strictly ascending; a
     // duplicate or out-of-order key means the stream is corrupt.
     if (!d.entities.empty() && !(d.entities.rbegin()->first < key)) {

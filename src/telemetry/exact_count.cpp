@@ -40,7 +40,7 @@ void ExactCountApp::LoadState(SnapshotReader& r) {
     const std::size_t n = r.Count(sizeof(FlowKey) + 8);
     counts.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const FlowKey key = r.Get<FlowKey>();
+      const FlowKey key = ReadFlowKey(r);
       counts[key] = r.U64();
     }
   }

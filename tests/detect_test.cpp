@@ -14,6 +14,8 @@
 #include <bit>
 #include <cstring>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -423,6 +425,34 @@ TEST(DetectSnapshot, BadHealthStateByteIsRejected) {
       EXPECT_THROW(svc.Load(r), SnapshotError);
       ASSERT_EQ(SaveBytes(svc), before);
     }
+  }
+  ExpectUnchangedAndUsable(svc, before);
+}
+
+TEST(DetectSnapshot, ForgedEntityKeyIsRejected) {
+  DetectionService src = WarmService();
+  const std::vector<std::uint8_t> bytes = SaveBytes(src);
+  // Switch 1's first entity key: after its section tag (4), cold flag (1)
+  // and entity count (8). A stored FlowKey is 13 key bytes, then its length
+  // byte and its kind byte; these entity keys are 4 bytes long.
+  const std::size_t key = SecondSectionOffset(src) + 4 + 1 + 8;
+  DetectionService svc = WarmService();
+  const std::vector<std::uint8_t> before = SaveBytes(svc);
+  const std::pair<std::size_t, std::uint8_t> forgeries[] = {
+      {13, 200}, {14, 9}, {12, 0x5A}};  // length, kind, padding
+  for (const auto& [at, value] : forgeries) {
+    std::vector<std::uint8_t> forged = bytes;
+    forged.at(key + at) = value;
+    SnapshotReader r(forged);
+    try {
+      svc.Load(r);
+      ADD_FAILURE() << "forged key byte " << at << " loaded";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed flow key"),
+                std::string::npos)
+          << e.what();
+    }
+    ASSERT_EQ(SaveBytes(svc), before);
   }
   ExpectUnchangedAndUsable(svc, before);
 }

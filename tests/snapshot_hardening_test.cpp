@@ -10,23 +10,41 @@
 // of a WriteFile checkpoint is caught, with the error naming the section and
 // absolute file offsets), forged lane and table counts in Switch and
 // ExactCountApp checkpoints, stray bytes in a dense stream's empty slots,
-// and the delta-checkpoint encode/apply pair.
+// forged FlowKey bytes in every decoder that reads keys, the CRC-32 kernel
+// and combine against a bitwise reference, ShardedKeyValueTable::Load's
+// all-or-nothing guarantee, and the delta-checkpoint encode/apply pair.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
+#include "src/controller/sharded_key_value_table.h"
 #include "src/switchsim/pipeline.h"
 #include "src/telemetry/exact_count.h"
 
 namespace ow {
 namespace {
+
+/// Bitwise CRC-32 (IEEE 802.3, reflected), the definition the table-driven
+/// Crc32 must reproduce bit for bit, chained `seed` included.
+std::uint32_t RefCrc32(const std::uint8_t* p, std::size_t n,
+                       std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
 
 FlowKey Key(std::uint32_t id) {
   return FlowKey(FlowKeyKind::kSrcIp, FiveTuple{.src_ip = id});
@@ -329,6 +347,185 @@ TEST(KvTableHardening, SparseIndexOutOfOrderOrBeyondCapacityRejected) {
   EXPECT_THROW(LoadInto(dst, bytes), SnapshotError);
 }
 
+std::vector<std::uint8_t> SaveBytes(const ShardedKeyValueTable& table) {
+  SnapshotWriter w;
+  table.Save(w, KvSnapshotMode::kSparse);
+  return w.Take();
+}
+
+TEST(KvTableHardening, ShardedLoadIsAllOrNothingAtEveryTruncation) {
+  bool created = false;
+  ShardedKeyValueTable src(1024, 4);
+  for (std::uint32_t i = 1; i <= 165; ++i) {
+    src.FindOrInsert(Key(i), created).attrs[0] = i;
+  }
+  const std::vector<std::uint8_t> bytes = SaveBytes(src);
+
+  ShardedKeyValueTable dst(1024, 4);
+  for (std::uint32_t i = 1; i <= 11; ++i) {
+    dst.FindOrInsert(Key(1000 + i), created).attrs[0] = i;
+  }
+  const std::vector<std::uint8_t> before = SaveBytes(dst);
+  // Every cut past the stream header, including those that leave the
+  // first shards whole: no shard may commit unless all of them decode.
+  for (std::size_t len = 8; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + len);
+    SnapshotReader r(cut);
+    EXPECT_THROW(dst.Load(r), SnapshotError) << "cut at " << len;
+    ASSERT_EQ(SaveBytes(dst), before) << "cut at " << len << " mutated it";
+  }
+  EXPECT_EQ(dst.size(), 11u);
+
+  SnapshotReader r(bytes);
+  dst.Load(r);
+  EXPECT_EQ(dst.size(), 165u);
+  EXPECT_EQ(SaveBytes(dst), bytes);
+}
+
+// --- forged flow keys --------------------------------------------------------
+
+/// A stored FlowKey is its 13 key bytes, then its length and kind bytes.
+constexpr std::size_t kKeyLenAt = 13;
+constexpr std::size_t kKeyKindAt = 14;
+
+/// Each forgery breaks one FlowKey invariant: a length past the key array,
+/// a kind no enumerator names, a nonzero byte past the length (the keys
+/// forged here are shorter than 13 bytes).
+struct KeyForgery {
+  std::size_t at;
+  std::uint8_t value;
+};
+constexpr KeyForgery kKeyForgeries[] = {
+    {kKeyLenAt, 200}, {kKeyKindAt, 9}, {12, 0x5A}};
+
+/// Apply `f` to the key stored at `key_at`; returns the forged stream.
+std::vector<std::uint8_t> ForgeKey(std::vector<std::uint8_t> bytes,
+                                   std::size_t key_at, KeyForgery f) {
+  bytes.at(key_at + f.at) = f.value;
+  return bytes;
+}
+
+void ExpectMalformedKey(const std::function<void()>& load,
+                        const KeyForgery& f) {
+  try {
+    load();
+    ADD_FAILURE() << "forged key byte " << f.at << " = " << unsigned(f.value)
+                  << " loaded";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed flow key"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FlowKeyDecode, StoredLayoutAndWellFormed) {
+  const FlowKey key = Key(0x0A000001);
+  ASSERT_EQ(sizeof(FlowKey), 15u);
+  std::uint8_t raw[sizeof(FlowKey)];
+  std::memcpy(raw, &key, sizeof raw);
+  EXPECT_EQ(raw[kKeyLenAt], 4u);
+  EXPECT_EQ(raw[kKeyKindAt], std::uint8_t(FlowKeyKind::kSrcIp));
+  EXPECT_TRUE(key.WellFormed());
+  EXPECT_TRUE(FlowKey().WellFormed());
+  EXPECT_TRUE(FlowKey(FlowKeyKind::kFiveTuple, FiveTuple{.src_ip = 1,
+                                                         .proto = 6})
+                  .WellFormed());
+  for (const KeyForgery& f : kKeyForgeries) {
+    std::uint8_t bad[sizeof(FlowKey)];
+    std::memcpy(bad, raw, sizeof bad);
+    bad[f.at] = f.value;
+    FlowKey forged;
+    std::memcpy(static_cast<void*>(&forged), bad, sizeof bad);
+    EXPECT_FALSE(forged.WellFormed()) << "byte " << f.at;
+  }
+}
+
+TEST(FlowKeyDecode, ForgedKeyInExactCountAppIsRejected) {
+  ExactCountApp src(FlowKeyKind::kSrcIp);
+  Packet p;
+  p.ft.src_ip = 0x0A000001;
+  src.Update(p, 0);
+  SnapshotWriter w;
+  src.SaveState(w);
+  const std::vector<std::uint8_t> good = w.Take();
+  // Section tag (4), region 0's entry count (8), then its only key.
+  const std::size_t key_at = kFirstCountOffset + 8;
+  for (const KeyForgery& f : kKeyForgeries) {
+    const std::vector<std::uint8_t> bytes = ForgeKey(good, key_at, f);
+    ExactCountApp dst(FlowKeyKind::kSrcIp);
+    ExpectMalformedKey(
+        [&] {
+          SnapshotReader r(bytes);
+          dst.LoadState(r);
+        },
+        f);
+  }
+}
+
+TEST(FlowKeyDecode, ForgedKeyInKeyValueTableIsRejectedWithoutCommit) {
+  KeyValueTable src(64);
+  Fill(src, 6, /*with_tombstones=*/true);
+  std::size_t first = 0;
+  while (src.data()[first].state == KvSlot::State::kEmpty) ++first;
+  // Sparse: the occupied count (8) and the first entry's slot index (8)
+  // precede its key. Dense: the first occupied slot's key.
+  const std::pair<KvSnapshotMode, std::size_t> cases[] = {
+      {KvSnapshotMode::kSparse, kKvHeaderBytes + 8 + 8},
+      {KvSnapshotMode::kDense, kKvHeaderBytes + first * sizeof(KvSlot)}};
+  for (const auto& [mode, key_at] : cases) {
+    const std::vector<std::uint8_t> good = SaveBytes(src, mode);
+    for (const KeyForgery& f : kKeyForgeries) {
+      const std::vector<std::uint8_t> bytes = ForgeKey(good, key_at, f);
+      KeyValueTable dst(64);
+      Fill(dst, 3, /*with_tombstones=*/false);
+      KeyValueTable before(64);
+      Fill(before, 3, /*with_tombstones=*/false);
+      ExpectMalformedKey([&] { LoadInto(dst, bytes); }, f);
+      EXPECT_TRUE(BackingEqual(dst, before)) << "failed Load mutated it";
+    }
+  }
+}
+
+TEST(FlowKeyDecode, ForgedKeyInPacketIsRejected) {
+  // Distinctive keys, located in the stream by their bytes.
+  const FlowKey injected(FlowKeyKind::kDstIp, FiveTuple{.dst_ip = 0xC0A80A0B});
+  const FlowKey afr(FlowKeyKind::kSrcIp, FiveTuple{.src_ip = 0xAC10FE01});
+  Packet p;
+  p.ts = 5;
+  p.ow.present = true;
+  p.ow.injected_key = injected;
+  FlowRecord rec;
+  rec.key = afr;
+  p.ow.afrs.push_back(rec);
+  SnapshotWriter w;
+  SavePacket(w, p);
+  const std::vector<std::uint8_t> good = w.Take();
+
+  for (const FlowKey& key : {injected, afr}) {
+    const auto it = std::search(good.begin(), good.end(),
+                                reinterpret_cast<const std::uint8_t*>(&key),
+                                reinterpret_cast<const std::uint8_t*>(&key) +
+                                    sizeof(FlowKey));
+    ASSERT_NE(it, good.end());
+    const std::size_t key_at = std::size_t(it - good.begin());
+    for (const KeyForgery& f : kKeyForgeries) {
+      const std::vector<std::uint8_t> bytes = ForgeKey(good, key_at, f);
+      ExpectMalformedKey(
+          [&] {
+            SnapshotReader r(bytes);
+            Packet out;
+            LoadPacket(r, out);
+          },
+          f);
+    }
+  }
+  SnapshotReader r(good);
+  Packet out;
+  LoadPacket(r, out);
+  EXPECT_EQ(out.ow.injected_key, injected);
+  EXPECT_EQ(out.ow.afrs.at(0).key, afr);
+}
+
 // --- dense <-> sparse equivalence -------------------------------------------
 
 TEST(KvTableHardening, DenseSparseRoundTripAcrossOccupancies) {
@@ -513,6 +710,85 @@ TEST(SnapshotFile, CorruptionIsLocalizedToSectionAndOffsets) {
 TEST(SnapshotFile, MissingFileThrows) {
   EXPECT_THROW((void)ReadSnapshotFile("snapshot_hardening_nonexistent.owsnap"),
                SnapshotError);
+}
+
+TEST(SnapshotFile, GoldenFileBytesAreStable) {
+  // Size and CRC of this fixed checkpoint as written before WriteFile
+  // combined its footer CRC from the section CRCs: the payload, index and
+  // footer bytes must not move.
+  TempFile tmp("snapshot_hardening_golden.owsnap");
+  std::size_t second = 0;
+  TwoSectionWriter(&second).WriteFile(tmp.path());
+  const std::vector<std::uint8_t> file = ReadRaw(tmp.path());
+  EXPECT_EQ(file.size(), 1097u);
+  EXPECT_EQ(RefCrc32(file.data(), file.size()), 0x6CFAD2EAu);
+}
+
+// --- CRC-32 ------------------------------------------------------------------
+
+/// Deterministic pseudo-random bytes.
+std::vector<std::uint8_t> Noise(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> v(n);
+  for (std::uint8_t& b : v) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    b = std::uint8_t(seed >> 56);
+  }
+  return v;
+}
+
+TEST(SnapshotCrc, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(RefCrc32(reinterpret_cast<const std::uint8_t*>("123456789"), 9),
+            0xCBF43926u);
+}
+
+TEST(SnapshotCrc, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> buf = Noise(300 + 8, 11);
+  for (std::size_t align = 0; align < 8; ++align) {
+    const std::uint8_t* p = buf.data() + align;
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32(p, len), RefCrc32(p, len))
+          << "len " << len << " align " << align;
+      // Chained: a seed carried in from an earlier buffer, and one buffer
+      // CRC'd in two calls.
+      const std::uint32_t seed = RefCrc32(buf.data(), align + 3);
+      ASSERT_EQ(Crc32(p, len, seed), RefCrc32(p, len, seed))
+          << "len " << len << " align " << align;
+      const std::size_t k = len / 3;
+      ASSERT_EQ(Crc32(p + k, len - k, Crc32(p, k)), RefCrc32(p, len))
+          << "len " << len << " split " << k << " align " << align;
+    }
+  }
+}
+
+TEST(SnapshotCrc, CombineEqualsOneDirectPass) {
+  const std::vector<std::uint8_t> buf = Noise(4099, 5);
+  const std::uint8_t* p = buf.data();
+  const std::size_t n = buf.size();
+  const std::uint32_t whole = Crc32(p, n);
+  // Empty first part, empty second part, and splits across the slice-by-8
+  // boundaries.
+  for (const std::size_t split :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+        std::size_t{9}, std::size_t{2048}, n - 1, n}) {
+    EXPECT_EQ(Crc32Combine(Crc32(p, split), Crc32(p + split, n - split),
+                           n - split),
+              whole)
+        << "split " << split;
+  }
+  // Many parts, folded left to right, as WriteFile folds sections.
+  std::uint32_t folded = Crc32(p, 8);
+  for (std::size_t at = 8; at < n; at += 37) {
+    const std::size_t len = std::min<std::size_t>(37, n - at);
+    folded = Crc32Combine(folded, Crc32(p + at, len), len);
+  }
+  EXPECT_EQ(folded, whole);
+  // A long zero run: the combine's length operator covers high bits too.
+  const std::vector<std::uint8_t> zeros(1 << 20, 0);
+  EXPECT_EQ(Crc32Combine(Crc32(p, 100), Crc32(zeros.data(), zeros.size()),
+                         zeros.size()),
+            Crc32(zeros.data(), zeros.size(), Crc32(p, 100)));
 }
 
 // --- delta checkpoints ------------------------------------------------------

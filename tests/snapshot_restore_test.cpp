@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -382,6 +384,57 @@ TEST(SnapshotRestore, FileRoundTripResumesBitIdentically) {
   FabricSession fresh(trace, MakeCountApp, cfg);
   EXPECT_THROW(fresh.RestoreFromFile(path), SnapshotError);
   std::remove(path.c_str());
+}
+
+/// Payload length and section-index entry count of a durable checkpoint,
+/// read from its framing: the footer opens with u64 payload_len, and the
+/// index (right after the payload) with its u32 entry count.
+struct FileShape {
+  std::uint64_t payload = 0;
+  std::uint32_t entries = 0;
+};
+
+FileShape ShapeOf(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> b((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
+  FileShape s;
+  if (b.size() < 24) return s;
+  std::memcpy(&s.payload, b.data() + b.size() - 24, 8);
+  if (s.payload + 4 <= b.size()) {
+    std::memcpy(&s.entries, b.data() + s.payload, 4);
+  }
+  return s;
+}
+
+TEST(SnapshotRestore, FileIndexIsPerLayerNotPerPacket) {
+  // Operation count, not timing: the file index must cost O(layers) no
+  // matter how many packets wait in the fabric's lanes. At construction
+  // the whole trace is staged at the ingress switch; after driving, the
+  // pending packets are a different, smaller set spread over every lane.
+  const Trace trace = FabricTrace(8108);
+  const NetworkRunConfig cfg = LeafSpineConfig(2, 2);
+  const std::string path = "snapshot_restore_index_test.owsnap";
+  FabricSession session(trace, MakeCountApp, cfg);
+  session.SnapshotToFile(path);
+  const FileShape staged = ShapeOf(path);
+  session.DriveUntil(175 * kMilli);
+  session.SnapshotToFile(path);
+  const FileShape driven = ShapeOf(path);
+  std::remove(path.c_str());
+
+  // Every staged packet's five-tuple is in the payload ...
+  ASSERT_GT(trace.packets.size(), 1000u);
+  EXPECT_GT(staged.payload, trace.packets.size() * sizeof(FiveTuple));
+  EXPECT_NE(staged.payload, driven.payload);
+  // ... but the index holds one entry per checkpointed layer instance,
+  // fixed by the topology: the session and the network (2), the 5 fabric
+  // links, and for each of the 4 switches its switch section, its report
+  // link, its program's 6 sections (program, signal, tracker, two blooms,
+  // app) and its controller's 2 (controller, flow table).
+  constexpr std::uint32_t kEntries = 2 + 5 + 4 * (1 + 1 + 6 + 2);
+  EXPECT_EQ(staged.entries, kEntries);
+  EXPECT_EQ(driven.entries, kEntries);
 }
 
 TEST(SnapshotRestore, RdmaConfigRefusesSnapshot) {
