@@ -503,8 +503,7 @@ void LoadPacket(SnapshotReader& r, Packet& p) {
   p.ow.injected_key = ReadFlowKey(r);
   r.Pod(p.ow.payload);
   p.ow.degraded = r.Bool();
-  r.PodVec(p.ow.afrs);
-  for (const FlowRecord& rec : p.ow.afrs) CheckFlowKey(r, rec.key);
+  ReadFlowKeys(r, p.ow.afrs);
 }
 
 void CheckFlowKey(const SnapshotReader& r, const FlowKey& key) {

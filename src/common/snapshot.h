@@ -318,4 +318,18 @@ void CheckFlowKey(const SnapshotReader& r, const FlowKey& key);
 /// Read a FlowKey written with SnapshotWriter::Pod and CheckFlowKey it.
 FlowKey ReadFlowKey(SnapshotReader& r);
 
+/// SnapshotReader::PodVec for an array of FlowKeys, or of records keyed by
+/// a FlowKey `key` member (FlowRecord), that CheckFlowKeys every key read.
+template <typename Vec>
+void ReadFlowKeys(SnapshotReader& r, Vec& v) {
+  r.PodVec(v);
+  for (const auto& e : v) {
+    if constexpr (requires { e.key; }) {
+      CheckFlowKey(r, e.key);
+    } else {
+      CheckFlowKey(r, e);
+    }
+  }
+}
+
 }  // namespace ow

@@ -71,17 +71,24 @@ void ShardedKeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   for (const KeyValueTable& s : shards_) s.Save(w, mode);
 }
 
-void ShardedKeyValueTable::Load(SnapshotReader& r) {
+ShardedKeyValueTable::Decoded ShardedKeyValueTable::Decode(
+    SnapshotReader& r) const {
   CheckShape(snap::kKvTable, "ShardedKeyValueTable", "shard count",
              shards_.size(), r.Size());
-  // Decode every shard before committing any: a stream that fails in a
-  // later shard leaves the whole table unchanged.
-  std::vector<KeyValueTable::Decoded> decoded;
+  Decoded decoded;
   decoded.reserve(shards_.size());
   for (const KeyValueTable& s : shards_) decoded.push_back(s.Decode(r));
+  return decoded;
+}
+
+void ShardedKeyValueTable::Commit(Decoded&& d) noexcept {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i].Commit(std::move(decoded[i]));
+    shards_[i].Commit(std::move(d[i]));
   }
 }
+
+// Decode every shard before committing any: a stream that fails in a later
+// shard leaves the whole table unchanged.
+void ShardedKeyValueTable::Load(SnapshotReader& r) { Commit(Decode(r)); }
 
 }  // namespace ow

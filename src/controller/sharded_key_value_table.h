@@ -74,6 +74,12 @@ class ShardedKeyValueTable {
   void Load(SnapshotReader& r);
 
  private:
+  // OmniWindowController::Load decodes its whole section before committing.
+  friend class OmniWindowController;
+  using Decoded = std::vector<KeyValueTable::Decoded>;
+  Decoded Decode(SnapshotReader& r) const;
+  void Commit(Decoded&& d) noexcept;
+
   /// Distinct from KeyValueTable's probe seed so shard choice and in-shard
   /// probe position are uncorrelated.
   static constexpr std::uint64_t kShardSeed = 0x5A4DD5EEDull;

@@ -10,6 +10,7 @@
 // and every call names the region it targets.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,31 +97,42 @@ class TelemetryAppAdapter {
 
   /// Checkpoint the app's measurement state. The default implementation
   /// serializes every register array from Registers(), which covers any
-  /// register-backed app; apps on plain memory must override BOTH methods
-  /// or checkpointing fails loudly (a silent no-op here would restore an
-  /// empty app and corrupt every window after the restore point).
+  /// register-backed app; apps on plain memory must override BOTH SaveState
+  /// and DecodeState or checkpointing fails loudly (a silent no-op here
+  /// would restore an empty app and corrupt every window after the restore
+  /// point).
   virtual void SaveState(SnapshotWriter& w) {
     w.Section(snap::kApp);
     std::vector<RegisterArray*> regs = Registers();
-    if (regs.empty()) {
-      throw SnapshotError("app '" + name() +
-                          "' keeps state outside register arrays and does "
-                          "not override SaveState/LoadState");
-    }
+    if (regs.empty()) ThrowNoCheckpoint();
     w.Size(regs.size());
     for (RegisterArray* reg : regs) reg->Save(w);
   }
-  virtual void LoadState(SnapshotReader& r) {
+
+  /// Decode a SaveState checkpoint without touching the app, and return
+  /// the action that installs it; that action cannot throw. LoadState runs
+  /// both; OmniWindowProgram::Load installs only once its whole section has
+  /// decoded, so a throw leaves the app unchanged.
+  virtual std::function<void()> DecodeState(SnapshotReader& r) {
     r.Section(snap::kApp);
     std::vector<RegisterArray*> regs = Registers();
-    if (regs.empty()) {
-      throw SnapshotError("app '" + name() +
-                          "' keeps state outside register arrays and does "
-                          "not override SaveState/LoadState");
-    }
+    if (regs.empty()) ThrowNoCheckpoint();
     CheckShape(snap::kApp, ("app '" + name() + "'").c_str(), "register count",
                regs.size(), r.Size());
-    for (RegisterArray* reg : regs) reg->Load(r);
+    std::vector<std::vector<std::uint64_t>> cells;
+    cells.reserve(regs.size());
+    for (const RegisterArray* reg : regs) cells.push_back(reg->Decode(r));
+    return [regs = std::move(regs), cells = std::move(cells)] {
+      for (std::size_t i = 0; i < regs.size(); ++i) regs[i]->Commit(cells[i]);
+    };
+  }
+  void LoadState(SnapshotReader& r) { DecodeState(r)(); }
+
+ private:
+  [[noreturn]] void ThrowNoCheckpoint() const {
+    throw SnapshotError("app '" + name() +
+                        "' keeps state outside register arrays and does "
+                        "not override SaveState/DecodeState");
   }
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/common/snapshot.h"
 #include "src/core/afr_wire.h"
@@ -804,6 +805,9 @@ void LoadSet(SnapshotReader& r, Set& s) {
   for (std::size_t i = 0; i < n; ++i) {
     typename Set::value_type v;
     r.Pod(v);
+    if constexpr (std::is_same_v<typename Set::value_type, FlowKey>) {
+      CheckFlowKey(r, v);
+    }
     s.insert(s.end(), v);  // read back in sorted order: end() is the hint
   }
 }
@@ -833,7 +837,7 @@ void OmniWindowController::LoadPending(SnapshotReader& r,
   r.Pod(p.subwindow);
   p.expected_dataplane = r.U32();
   p.expected_injected = r.U32();
-  r.PodVec(p.records);
+  ReadFlowKeys(r, p.records);
   LoadSet(r, p.seqs_seen);
   LoadSet(r, p.injected_keys_seen);
   p.collection_started = r.Bool();
@@ -902,57 +906,75 @@ void OmniWindowController::Load(SnapshotReader& r) {
         "OmniWindowController: the RDMA collection path is not "
         "checkpointable");
   }
+  // Decode the whole section into scratch before committing any of it: a
+  // stream that fails part-way leaves the controller unchanged.
   r.Section(snap::kController);
-  table_.Load(r);
-  history_.clear();
+  auto table = table_.Decode(r);
   // Map/list entry counts come off the untrusted stream; bound each by the
   // smallest possible serialized entry (key + length prefix) so a forged
   // count throws instead of ballooning allocations.
+  PooledDeque<std::pair<SubWindowNum, RecordVec>> history;
   const std::size_t num_history = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_history; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
     RecordVec recs;
-    r.PodVec(recs);
-    history_.emplace_back(sub, std::move(recs));
+    ReadFlowKeys(r, recs);
+    history.emplace_back(sub, std::move(recs));
   }
-  pending_.clear();
+  PooledMap<SubWindowNum, PendingSubWindow> pending;
   const std::size_t num_pending = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_pending; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
-    LoadPending(r, pending_[sub]);
+    LoadPending(r, pending[sub]);
   }
-  spilled_.clear();
+  PooledMap<SubWindowNum, PooledVector<FlowKey>> spilled;
   const std::size_t num_spilled = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_spilled; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
-    r.PodVec(spilled_[sub]);
+    ReadFlowKeys(r, spilled[sub]);
   }
-  spilled_seen_.clear();
+  PooledMap<SubWindowNum, PooledSet<FlowKey>> spilled_seen;
   const std::size_t num_seen = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_seen; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
-    LoadSet(r, spilled_seen_[sub]);
+    LoadSet(r, spilled_seen[sub]);
   }
-  LoadSet(r, degraded_);
-  retry_rng_.set_state(r.Get<Rng::State>());
-  stall_rng_.set_state(r.Get<Rng::State>());
-  r.Pod(next_to_finalize_);
-  r.Pod(table_floor_);
-  r.PodVec(timings_);
-  stats_.afrs_received = r.U64();
-  stats_.subwindows_finalized = r.U64();
-  stats_.subwindows_force_finalized = r.U64();
-  stats_.windows_emitted = r.U64();
-  stats_.spilled_keys_stored = r.U64();
-  stats_.retransmissions_requested = r.U64();
-  stats_.spike_packets = r.U64();
-  stats_.duplicate_afrs = r.U64();
-  stats_.inserts_rejected = r.U64();
-  stats_.windows_partial = r.U64();
-  stats_.merge_stalls = r.U64();
-  stats_.rdma_holes_detected = r.U64();
-  stats_.subwindows_degraded_by_switch = r.U64();
-  r.PodVec(stats_.degraded_subwindows);
+  PooledSet<SubWindowNum> degraded;
+  LoadSet(r, degraded);
+  const auto retry_state = r.Get<Rng::State>();
+  const auto stall_state = r.Get<Rng::State>();
+  const auto next_to_finalize = r.Get<SubWindowNum>();
+  const auto table_floor = r.Get<SubWindowNum>();
+  std::vector<SubWindowTiming> timings;
+  r.PodVec(timings);
+  Stats stats = stats_;
+  stats.afrs_received = r.U64();
+  stats.subwindows_finalized = r.U64();
+  stats.subwindows_force_finalized = r.U64();
+  stats.windows_emitted = r.U64();
+  stats.spilled_keys_stored = r.U64();
+  stats.retransmissions_requested = r.U64();
+  stats.spike_packets = r.U64();
+  stats.duplicate_afrs = r.U64();
+  stats.inserts_rejected = r.U64();
+  stats.windows_partial = r.U64();
+  stats.merge_stalls = r.U64();
+  stats.rdma_holes_detected = r.U64();
+  stats.subwindows_degraded_by_switch = r.U64();
+  r.PodVec(stats.degraded_subwindows);
+
+  table_.Commit(std::move(table));
+  history_.swap(history);
+  pending_.swap(pending);
+  spilled_.swap(spilled);
+  spilled_seen_.swap(spilled_seen);
+  degraded_.swap(degraded);
+  retry_rng_.set_state(retry_state);
+  stall_rng_.set_state(stall_state);
+  next_to_finalize_ = next_to_finalize;
+  table_floor_ = table_floor;
+  timings_.swap(timings);
+  stats_ = std::move(stats);
 }
 
 }  // namespace ow

@@ -241,7 +241,9 @@ class OmniWindowController {
   /// rebuilds. The RDMA path is not checkpointable (throws SnapshotError
   /// when enabled). `mode` selects the flow-table encoding (KvSnapshotMode):
   /// kAuto emits sparse (index, slot) pairs when the table is mostly empty,
-  /// so checkpoint bytes scale with live state rather than capacity.
+  /// so checkpoint bytes scale with live state rather than capacity. Load
+  /// checks every key it reads (CheckFlowKey) and decodes the whole section
+  /// before committing any of it: a throw leaves the controller unchanged.
   void Save(SnapshotWriter& w,
             KvSnapshotMode mode = KvSnapshotMode::kAuto) const;
   void Load(SnapshotReader& r);

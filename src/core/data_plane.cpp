@@ -493,7 +493,7 @@ void OmniWindowProgram::ChargeResources(ResourceLedger& ledger) const {
   app_->ChargeResources(ledger);
 }
 
-void OmniWindowProgram::Save(SnapshotWriter& w) {
+void OmniWindowProgram::Save(SnapshotWriter& w) const {
   if (cfg_.rdma || rdma_) {
     throw SnapshotError(
         "OmniWindowProgram: the RDMA collection path shares externally "
@@ -529,40 +529,61 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
     throw SnapshotError(
         "OmniWindowProgram: the RDMA collection path is not checkpointable");
   }
+  // Decode the whole section into scratch before committing any of it: a
+  // stream that fails part-way leaves the program unchanged.
   r.Section(snap::kProgram);
-  signal_.Load(r);
-  tracker_.Load(r);
-  app_->LoadState(r);
-  r.Pod(current_);
-  r.Pod(collect_);
-  pending_starts_.clear();
+  SignalGenerator signal = signal_;
+  signal.Load(r);
+  auto tracker = tracker_.Decode(r);
+  std::function<void()> install_app = app_->DecodeState(r);
+  const auto current = r.Get<SubWindowNum>();
+  const auto collect = r.Get<CollectState>();
+  PooledDeque<Packet> pending_starts;
   const std::size_t num_starts = r.Size();
   for (std::size_t i = 0; i < num_starts; ++i) {
-    Packet p;
-    LoadPacket(r, p);
-    pending_starts_.push_back(std::move(p));
+    LoadPacket(r, pending_starts.emplace_back());
   }
-  r.PodVec(collect_keys_);
-  afr_cache_.clear();
+  PooledVector<FlowKey> collect_keys;
+  ReadFlowKeys(r, collect_keys);
+  PooledMap<SubWindowNum, RecordVec> afr_cache;
   const std::size_t num_cached = r.Size();
   for (std::size_t i = 0; i < num_cached; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
     RecordVec recs;
-    r.PodVec(recs);
-    afr_cache_.emplace(sub, std::move(recs));
+    ReadFlowKeys(r, recs);
+    afr_cache.emplace(sub, std::move(recs));
   }
-  compromised_.clear();
+  PooledSet<SubWindowNum> compromised;
   const std::size_t num_compromised = r.Size();
   for (std::size_t i = 0; i < num_compromised; ++i) {
-    compromised_.insert(r.Get<SubWindowNum>());
+    compromised.insert(r.Get<SubWindowNum>());
   }
-  r.Pod(last_writer_[0]);
-  r.Pod(last_writer_[1]);
-  r.Pod(collect_started_through_);
-  r.PodVec(report_batch_);
-  rdma_psn_ = r.U32();
-  user_base_ = r.U32();
-  r.Pod(stats_);
+  SubWindowNum last_writer[2];
+  r.Pod(last_writer[0]);
+  r.Pod(last_writer[1]);
+  const auto collect_started_through = r.Get<SubWindowNum>();
+  RecordVec report_batch;
+  ReadFlowKeys(r, report_batch);
+  const std::uint32_t rdma_psn = r.U32();
+  const std::uint32_t user_base = r.U32();
+  const auto stats = r.Get<Stats>();
+
+  signal_ = signal;
+  tracker_.Commit(std::move(tracker));
+  install_app();
+  current_ = current;
+  collect_ = collect;
+  pending_starts_.swap(pending_starts);
+  collect_keys_.swap(collect_keys);
+  afr_cache_.swap(afr_cache);
+  compromised_.swap(compromised);
+  last_writer_[0] = last_writer[0];
+  last_writer_[1] = last_writer[1];
+  collect_started_through_ = collect_started_through;
+  report_batch_.swap(report_batch);
+  rdma_psn_ = rdma_psn;
+  user_base_ = user_base;
+  stats_ = stats;
 }
 
 }  // namespace ow

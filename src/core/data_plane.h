@@ -105,8 +105,10 @@ class OmniWindowProgram final : public SwitchProgram {
   /// flowkey tracker, app measurement state, the C&R state machine,
   /// retransmission cache and stats. The RDMA collection path shares
   /// externally owned NIC/MR state and is not checkpointable — Save and
-  /// Load throw SnapshotError when it is enabled.
-  void Save(SnapshotWriter& w);
+  /// Load throw SnapshotError when it is enabled. Load checks every key it
+  /// reads (CheckFlowKey) and decodes the whole section before committing
+  /// any of it: a throw leaves the program unchanged.
+  void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
  private:

@@ -49,10 +49,15 @@ void FlowkeyTracker::Save(SnapshotWriter& w) const {
   }
 }
 
-void FlowkeyTracker::Load(SnapshotReader& r) {
+std::vector<FlowkeyTracker::Region> FlowkeyTracker::Decode(
+    SnapshotReader& r) const {
   r.Section(snap::kTracker);
-  for (Region& reg : regions_) {
-    r.PodVec(reg.keys);
+  std::vector<Region> regions;
+  regions.reserve(regions_.size());
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    Region& reg = regions.emplace_back(cfg_);
+    reg.keys.reserve(cfg_.capacity);
+    ReadFlowKeys(r, reg.keys);
     if (reg.keys.size() > cfg_.capacity) {
       throw SnapshotError("FlowkeyTracker: snapshot key array exceeds "
                           "configured capacity");
@@ -60,7 +65,14 @@ void FlowkeyTracker::Load(SnapshotReader& r) {
     reg.bloom.Load(r);
     reg.spilled = r.U64();
   }
+  return regions;
 }
+
+void FlowkeyTracker::Commit(std::vector<Region>&& regions) noexcept {
+  regions_.swap(regions);
+}
+
+void FlowkeyTracker::Load(SnapshotReader& r) { Commit(Decode(r)); }
 
 ResourceUsage FlowkeyTracker::Resources() const {
   ResourceUsage u;

@@ -62,11 +62,21 @@ class FlowkeyTracker {
   ResourceUsage Resources() const;
 
   /// Checkpoint both regions: key arrays, Bloom bits, spill counters.
+  /// Load decodes both regions into scratch, checks every key
+  /// (CheckFlowKey) and the array size against the capacity, and commits
+  /// only once the whole section has decoded: a throw leaves the tracker
+  /// unchanged.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
  private:
   static int CheckRegion(int region);
+
+  struct Region;
+  // OmniWindowProgram::Load decodes its whole section before committing.
+  friend class OmniWindowProgram;
+  std::vector<Region> Decode(SnapshotReader& r) const;
+  void Commit(std::vector<Region>&& regions) noexcept;
 
   struct Region {
     PooledVector<FlowKey> keys;

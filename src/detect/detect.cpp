@@ -1,6 +1,7 @@
 #include "src/detect/detect.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -10,12 +11,35 @@
 namespace ow::detect {
 namespace {
 
-FlowKey SrcEntity(std::uint32_t ip) {
-  return FlowKey(FlowKeyKind::kSrcIp, {.src_ip = ip});
+// An entity is a kSrcIp or kDstIp key: four address bytes, zero padded.
+// Its code is those bytes read big-endian, shifted above the kind byte.
+// FlowKey's ordering compares the stored bytes first, then the length (4
+// for both kinds), then the kind, so integer order on codes is key order.
+// The kind byte is nonzero, so no code is 0.
+
+bool IsEntityKey(const FlowKey& key) {
+  return (key.kind() == FlowKeyKind::kSrcIp ||
+          key.kind() == FlowKeyKind::kDstIp) &&
+         key.bytes().size() == 4;
 }
 
-FlowKey DstEntity(std::uint32_t ip) {
-  return FlowKey(FlowKeyKind::kDstIp, {.dst_ip = ip});
+std::uint64_t EntityCode(const std::uint8_t* ip, FlowKeyKind kind) {
+  const std::uint32_t be = std::uint32_t(ip[0]) << 24 |
+                           std::uint32_t(ip[1]) << 16 |
+                           std::uint32_t(ip[2]) << 8 | std::uint32_t(ip[3]);
+  return std::uint64_t(be) << 8 | std::uint64_t(kind);
+}
+
+std::uint64_t EntityCode(const FlowKey& entity) {
+  return EntityCode(entity.bytes().data(), entity.kind());
+}
+
+FlowKey EntityKey(std::uint64_t code) {
+  const std::uint8_t ip[4] = {std::uint8_t(code >> 32),
+                              std::uint8_t(code >> 24),
+                              std::uint8_t(code >> 16),
+                              std::uint8_t(code >> 8)};
+  return FlowKey::FromRaw(FlowKeyKind(code & 0xFF), ip);
 }
 
 }  // namespace
@@ -96,49 +120,98 @@ EntityDetector::EntityDetector(const DetectorConfig& cfg, int switch_id)
 }
 
 void EntityDetector::OnWindow(const WindowResult& w) {
-  // Project the (arbitrary-kind, arbitrary-order) flow table onto entity
-  // totals, then sort and coalesce them: scoring must not observe shard
-  // iteration order.
-  totals_.clear();
-  auto add = [&](const FlowKey& entity, std::uint64_t v) {
-    totals_.push_back({entity, v});
+  // Sum each entity's contributions (a commutative u64 sum, so shard
+  // iteration order cannot reach the totals). At least 4 slots per live
+  // flow keep the table at most half full: a flow adds at most two
+  // entities.
+  const std::size_t want =
+      std::bit_ceil(std::max<std::size_t>(4 * w.table->size(), 64));
+  if (sums_.size() < want) {
+    sums_.assign(want, CodeTotal{});
+    // Each list holds at most one entry per distinct entity.
+    touched_.reserve(want / 2);
+    scored_.reserve(want / 2);
+    totals_.reserve(want / 2);
+  }
+  const std::size_t mask = sums_.size() - 1;
+  const int shift = 64 - std::countr_zero(sums_.size());
+  const auto slot_of = [shift](std::uint64_t code) {
+    // Fibonacci hashing: the top bits of the product index the table.
+    return std::size_t((code * 0x9E3779B97F4A7C15ull) >> shift);
+  };
+  const auto add = [&](const std::uint8_t* ip, FlowKeyKind kind,
+                       std::uint64_t v) {
+    const std::uint64_t code = EntityCode(ip, kind);
+    std::size_t i = slot_of(code);
+    while (sums_[i].code != code) {
+      if (sums_[i].code == 0) {
+        sums_[i].code = code;
+        touched_.push_back(i);
+        break;
+      }
+      i = (i + 1) & mask;
+    }
+    sums_[i].value += v;
   };
   w.table->ForEach([&](const KvSlot& slot) {
     const std::uint64_t v = slot.attrs[0];
     if (v == 0) return;
+    // Every projection keeps the source address at offset 0; the pair
+    // kinds keep the destination at offset 4.
+    const std::uint8_t* raw = slot.key.bytes().data();
     switch (slot.key.kind()) {
       case FlowKeyKind::kFiveTuple:
       case FlowKeyKind::kIpPair:
-        if (cfg_.track_src) add(SrcEntity(slot.key.src_ip()), v);
-        if (cfg_.track_dst) add(DstEntity(slot.key.dst_ip()), v);
+        if (cfg_.track_src) add(raw, FlowKeyKind::kSrcIp, v);
+        if (cfg_.track_dst) add(raw + 4, FlowKeyKind::kDstIp, v);
         break;
       case FlowKeyKind::kSrcIp:
-        if (cfg_.track_src) add(slot.key, v);
+        if (cfg_.track_src) add(raw, FlowKeyKind::kSrcIp, v);
         break;
       case FlowKeyKind::kDstIp:
-        if (cfg_.track_dst) add(slot.key, v);
+        if (cfg_.track_dst) add(raw, FlowKeyKind::kDstIp, v);
         break;
       case FlowKeyKind::kSrcIpDstPort:
         // Only the source address survives this projection.
-        if (cfg_.track_src) add(SrcEntity(slot.key.src_ip()), v);
+        if (cfg_.track_src) add(raw, FlowKeyKind::kSrcIp, v);
         break;
     }
   });
-  std::sort(totals_.begin(), totals_.end(),
-            [](const EntityTotal& a, const EntityTotal& b) {
-              return a.entity < b.entity;
-            });
-  // Coalesce each entity's run into one total (a uint64 sum, so the result
-  // does not depend on the order within the run).
-  std::size_t n = 0;
-  for (const EntityTotal& t : totals_) {
-    if (n > 0 && totals_[n - 1].entity == t.entity) {
-      totals_[n - 1].value += t.value;
-    } else {
-      totals_[n++] = t;
+
+  // Score acts on an entity only if it is tracked or its total reaches the
+  // admission floor; it skips an untracked entity below the floor. So keep
+  // every total at or above the floor, then look up each tracked entity
+  // and keep it too if it is present below the floor. A tracked entity
+  // absent from the window stays out, so Score steps it as absent (idle
+  // eviction included), exactly as if every total had been passed.
+  scored_.clear();
+  for (const std::size_t i : touched_) {
+    if (double(sums_[i].value) >= cfg_.score.min_baseline) {
+      scored_.push_back(sums_[i]);
     }
   }
-  totals_.resize(n);
+  for (const auto& [key, st] : entities_) {
+    const std::uint64_t code = EntityCode(key);
+    for (std::size_t i = slot_of(code); sums_[i].code != 0;
+         i = (i + 1) & mask) {
+      if (sums_[i].code != code) continue;
+      if (double(sums_[i].value) < cfg_.score.min_baseline) {
+        scored_.push_back(sums_[i]);
+      }
+      break;
+    }
+  }
+  for (const std::size_t i : touched_) sums_[i] = CodeTotal{};
+  touched_.clear();
+
+  std::sort(scored_.begin(), scored_.end(),
+            [](const CodeTotal& a, const CodeTotal& b) {
+              return a.code < b.code;
+            });
+  totals_.clear();
+  for (const CodeTotal& t : scored_) {
+    totals_.push_back({EntityKey(t.code), t.value});
+  }
   Score(totals_, w.span, w.completed_at, w.partial);
 }
 
@@ -233,6 +306,13 @@ void EntityDetector::StepEntity(const FlowKey& key, EntityState& st,
 void EntityDetector::OnTotals(std::span<const EntityTotal> totals,
                               SubWindowSpan span, Nanos completed_at,
                               bool partial) {
+  for (const EntityTotal& t : totals) {
+    if (!IsEntityKey(t.entity)) {
+      throw std::invalid_argument(
+          "EntityDetector::OnTotals: " + t.entity.ToString() +
+          " is not a source- or destination-ip entity key");
+    }
+  }
   const auto unordered = std::adjacent_find(
       totals.begin(), totals.end(),
       [](const EntityTotal& a, const EntityTotal& b) {
@@ -427,6 +507,10 @@ EntityDetector::Decoded EntityDetector::Decode(SnapshotReader& r) const {
   const std::size_t n = r.Count(kMinEntityBytes);
   for (std::size_t i = 0; i < n; ++i) {
     const FlowKey key = ReadFlowKey(r);
+    if (!IsEntityKey(key)) {
+      throw SnapshotError("EntityDetector: entity " + std::to_string(i) +
+                          " is not a source- or destination-ip key");
+    }
     // Save walks the ordered map, so keys arrive strictly ascending; a
     // duplicate or out-of-order key means the stream is corrupt.
     if (!d.entities.empty() && !(d.entities.rbegin()->first < key)) {

@@ -23,13 +23,13 @@
 // quiet entity evicted first), so steady-state memory is fixed regardless
 // of trace length.
 //
-// Determinism: per-window totals are sorted by entity key and coalesced
-// before any scoring, so results are bit-identical across ControllerConfig::
-// merge_threads (shard iteration order differs, contents do not). Each
-// switch has its own detector and the fabric engine serializes handler
-// calls per switch, so alert streams are bit-identical across parallel
-// fabric thread counts; DetectionService::Alerts() returns a canonically
-// sorted stream.
+// Determinism: per-window totals are summed per entity (a commutative u64
+// sum) and the entities scored are sorted by key before any scoring, so
+// results are bit-identical across ControllerConfig::merge_threads (shard
+// iteration order differs, contents do not). Each switch has its own
+// detector and the fabric engine serializes handler calls per switch, so
+// alert streams are bit-identical across parallel fabric thread counts;
+// DetectionService::Alerts() returns a canonically sorted stream.
 //
 // The detector reads KvSlot::attrs[0] as a packet count — pair it with a
 // frequency-merged instrument (e.g. ExactCountApp or the count query), not
@@ -186,18 +186,19 @@ class EntityDetector {
  public:
   EntityDetector(const DetectorConfig& cfg, int switch_id);
 
-  /// Consume one completed window: project the table's live slots onto
-  /// entity totals in a reused flat buffer, sort and coalesce them, then
-  /// score. Costs O(capacity/64 + F + E log E) for F live flows and E <= 2F
-  /// entity contributions, and allocates nothing once the buffer has grown
-  /// to the working set.
+  /// Consume one completed window: sum the table's live slots per entity
+  /// in a reused hash table keyed by entity code, keep only the entities
+  /// scoring can act on (total at or above min_baseline, or tracked), sort
+  /// those by code, then score. Costs O(capacity/64 + F + T + S log S) for
+  /// F live flows, T tracked entities and S scored ones, and allocates
+  /// nothing once its buffers have grown to the largest window seen.
   void OnWindow(const WindowResult& w);
 
   /// Core step on pre-aggregated totals (what OnWindow runs after its
   /// aggregation); exposed so unit tests can drive the model without
   /// building controller tables. `totals` must be keyed by kSrcIp/kDstIp
-  /// entity keys and sorted strictly ascending by key; throws
-  /// std::invalid_argument otherwise.
+  /// entity keys (four address bytes) and sorted strictly ascending by
+  /// key; throws std::invalid_argument, before any state moves, otherwise.
   void OnTotals(std::span<const EntityTotal> totals, SubWindowSpan span,
                 Nanos completed_at, bool partial);
 
@@ -221,9 +222,9 @@ class EntityDetector {
   /// restored detector emits only post-restore transitions, and the
   /// restore-side comparator concatenates the two streams. Load decodes
   /// into scratch state, bounds the entity count by the bytes left, rejects
-  /// unknown health states and out-of-order keys with SnapshotError, and
-  /// commits only once the whole section has decoded: a throw leaves the
-  /// detector unchanged.
+  /// unknown health states, keys that are not entity keys and out-of-order
+  /// keys with SnapshotError, and commits only once the whole section has
+  /// decoded: a throw leaves the detector unchanged.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
@@ -264,8 +265,20 @@ class EntityDetector {
   EntityMap entities_;
   std::vector<Alert> alerts_;
   Stats stats_;
-  // Per-window scratch, reused so steady-state windows do not allocate:
-  // OnWindow's entity totals and Score's deferred admissions.
+  // Per-window scratch, reused so steady-state windows do not allocate.
+  // OnWindow sums contributions in `sums_`, an open-addressing table of
+  // (entity code, total) with code 0 marking an empty slot, sized to a
+  // power of two of at least 4x the window's live flows; `touched_` lists
+  // the slots it filled so clearing costs what filling did. `scored_`
+  // holds the entities that reach Score, `totals_` the same decoded back
+  // to keys, `fresh_` Score's deferred admissions.
+  struct CodeTotal {
+    std::uint64_t code = 0;
+    std::uint64_t value = 0;
+  };
+  std::vector<CodeTotal> sums_;
+  std::vector<std::size_t> touched_;
+  std::vector<CodeTotal> scored_;
   std::vector<EntityTotal> totals_;
   std::vector<EntityTotal> fresh_;
 

@@ -1,5 +1,7 @@
 #include "src/switchsim/register_array.h"
 
+#include <algorithm>
+
 #include "src/common/snapshot.h"
 
 namespace ow {
@@ -37,12 +39,20 @@ void RegisterArray::Save(SnapshotWriter& w) const {
   w.PodVec(cells_);
 }
 
-void RegisterArray::Load(SnapshotReader& r) {
+std::vector<std::uint64_t> RegisterArray::Decode(SnapshotReader& r) const {
   r.Section(snap::kRegisterArray);
   const std::size_t found = r.Size();
   CheckShape(snap::kRegisterArray, ("RegisterArray " + name_).c_str(),
              "cell count", cells_.size(), found);
-  if (found != 0) r.Bytes(cells_.data(), found * sizeof(cells_[0]));
+  std::vector<std::uint64_t> cells(found);
+  if (found != 0) r.Bytes(cells.data(), found * sizeof(cells[0]));
+  return cells;
+}
+
+void RegisterArray::Commit(const std::vector<std::uint64_t>& cells) noexcept {
+  // Decode checked the size; copy rather than adopt, so the cells keep
+  // their address.
+  std::copy(cells.begin(), cells.end(), cells_.begin());
 }
 
 void RegisterArray::ControlWrite(std::size_t index, std::uint64_t value) {

@@ -77,10 +77,12 @@ class RegisterArray {
   void ControlWrite(std::size_t index, std::uint64_t value);
 
   /// Checkpoint the cell contents (shape/name/bindings are configuration).
-  /// Load verifies the entry count matches and throws SnapshotError on a
-  /// shape mismatch.
+  /// Decode reads them into a scratch array without touching this one and
+  /// throws SnapshotError on a shape mismatch; Commit installs what Decode
+  /// returned (TelemetryAppAdapter::DecodeState restores apps this way).
   void Save(SnapshotWriter& w) const;
-  void Load(SnapshotReader& r);
+  std::vector<std::uint64_t> Decode(SnapshotReader& r) const;
+  void Commit(const std::vector<std::uint64_t>& cells) noexcept;
 
   std::size_t size() const noexcept { return cells_.size(); }
   std::size_t entry_bytes() const noexcept { return entry_bytes_; }

@@ -33,10 +33,10 @@ void ExactCountApp::SaveState(SnapshotWriter& w) {
   }
 }
 
-void ExactCountApp::LoadState(SnapshotReader& r) {
+std::function<void()> ExactCountApp::DecodeState(SnapshotReader& r) {
   r.Section(snap::kApp);
-  for (FlowCounts& counts : counts_) {
-    counts.clear();
+  std::array<FlowCounts, 2> decoded;
+  for (FlowCounts& counts : decoded) {
     const std::size_t n = r.Count(sizeof(FlowKey) + 8);
     counts.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -44,6 +44,9 @@ void ExactCountApp::LoadState(SnapshotReader& r) {
       counts[key] = r.U64();
     }
   }
+  return [this, decoded = std::move(decoded)]() mutable {
+    counts_.swap(decoded);
+  };
 }
 
 }  // namespace ow

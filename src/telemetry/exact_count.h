@@ -39,7 +39,7 @@ class ExactCountApp final : public TelemetryAppAdapter {
   /// Exact maps live outside register arrays, so checkpointing serializes
   /// them entry-by-entry (order-independent: lookups never iterate).
   void SaveState(SnapshotWriter& w) override;
-  void LoadState(SnapshotReader& r) override;
+  std::function<void()> DecodeState(SnapshotReader& r) override;
 
  private:
   FlowKeyKind key_kind_;

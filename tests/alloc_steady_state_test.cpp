@@ -149,40 +149,57 @@ TEST(AllocSteadyState, MvSketchDrainHeapSilent) {
 }
 
 /// Detector region (the per-window detect.ms of the fabric benchmarks): a
-/// steady table raises no alerts, so after the first (cold, seeding) window
-/// every window reuses the flat totals buffer, the tracked-entity map and
-/// each entity's lag ring, and must not touch the heap.
+/// steady set of entities raises no alerts, so once the detector has seen
+/// its largest window, every window reuses the aggregation table, the
+/// touched-slot list, the scored-entity buffers, the tracked-entity map and
+/// each entity's lag ring, and must not touch the heap. The flow count
+/// rises from the cold window to a peak before the measured region, then
+/// falls and rises again inside it: the buffers neither shrink nor regrow.
 TEST(AllocSteadyState, DetectorWindowHeapSilent) {
   if (!alloc_trace::Enabled()) {
     GTEST_SKIP() << "OW_ALLOC_TRACE not compiled in";
   }
-  KeyValueTable table(1 << 16);
-  bool created = false;
-  for (std::uint32_t i = 0; i < 900; ++i) {
-    // 300 sources x 90 destinations; a few sub-floor flows exercise the
-    // present-but-untracked branch.
-    const FlowKey key(FlowKeyKind::kFiveTuple,
-                      FiveTuple{0x0A000000u + i % 300, 0xC0A80000u + i % 90,
-                                std::uint16_t(1024 + i), 80, 6});
-    table.FindOrInsert(key, created).attrs[0] = i % 97 == 0 ? 1 : 40 + i % 50;
-  }
-  const TableView view(table);
+  // Flows 0..299 carry 300 sources x 90 destinations; a few sub-floor flows
+  // exercise the present-but-untracked branch. Later flows add one packet
+  // each to the same entities, so the flow count changes while entity
+  // totals barely move.
+  const auto make_table = [](std::uint32_t flows) {
+    auto table = std::make_unique<KeyValueTable>(1 << 12);
+    bool created = false;
+    for (std::uint32_t i = 0; i < flows; ++i) {
+      const FlowKey key(FlowKeyKind::kFiveTuple,
+                        FiveTuple{0x0A000000u + i % 300, 0xC0A80000u + i % 90,
+                                  std::uint16_t(1024 + i), 80, 6});
+      table->FindOrInsert(key, created).attrs[0] =
+          i >= 300 ? 1 : (i % 97 == 0 ? 1 : 40 + i % 50);
+    }
+    return table;
+  };
+  const auto small = make_table(300);
+  const auto medium = make_table(600);
+  const auto peak = make_table(900);
   detect::EntityDetector detector(detect::DetectorConfig{}, 0);
-  const auto window = [&](SubWindowNum w) {
+  const auto window = [&](const KeyValueTable& table, SubWindowNum w) {
+    const TableView view(table);
     WindowResult r;
     r.span = {w, SubWindowNum(w + 4)};
     r.table = &view;
     r.completed_at = Nanos(w + 5) * 100 * kMilli;
     detector.OnWindow(r);
   };
-  window(0);  // cold: seeds and admits every entity
+  window(*small, 0);  // cold: seeds and admits every entity
+  window(*peak, 1);   // the largest window grows the per-window buffers
+  const KeyValueTable* const cycle[] = {peak.get(), medium.get(), small.get(),
+                                        medium.get()};
   const alloc_trace::Scope scope;
-  for (SubWindowNum w = 1; w <= 20; ++w) window(w);
+  for (SubWindowNum w = 2; w <= 21; ++w) window(*cycle[w % 4], w);
   EXPECT_EQ(scope.news(), 0u)
-      << "EntityDetector::OnWindow allocated on the heap after the first "
+      << "EntityDetector::OnWindow allocated on the heap after the largest "
          "window";
   EXPECT_TRUE(detector.alerts().empty());
-  EXPECT_EQ(detector.tracked(), 390u);
+  // 300 sources, 4 of them (flows 0, 97, 194, 291) below the floor, plus
+  // 90 destinations.
+  EXPECT_EQ(detector.tracked(), 386u);
 }
 
 }  // namespace

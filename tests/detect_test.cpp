@@ -2,25 +2,29 @@
 //
 // Units: ScoreModel (floor, cold seed, lagged absorption, freeze),
 // HysteresisFsm (dwell, hysteresis band, two-stage recovery), EntityDetector
-// (cold-window seeding, top-K bound, idle eviction, sorted-totals contract),
-// detector checkpoints (round trip; forged counts, bad state bytes and every
-// truncation leave the service unchanged) and alert/ground-truth matching.
+// (cold-window seeding, top-K bound, idle eviction, sorted entity-key totals
+// contract, OnWindow against the sort-everything reference over randomized
+// windows), detector checkpoints (round trip; forged counts, bad state
+// bytes, non-entity keys and every truncation leave the service unchanged)
+// and alert/ground-truth matching.
 // End to end: a fabric run over injected anomalies must detect them
 // streaming with bounded memory, the alert stream must be bit-identical
 // across merge_threads and parallel engine thread counts, and a leaf-spine
 // evaluation run must reproduce a pinned alert digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/common/snapshot.h"
-
+#include "src/controller/sharded_key_value_table.h"
 #include "src/core/network_runner.h"
 #include "src/detect/detect.h"
 #include "src/detect/score.h"
@@ -312,6 +316,185 @@ TEST(EntityDetector, IdleQuietEntitiesAreEvicted) {
   EXPECT_GT(d.stats().evictions, 0u);
 }
 
+TEST(EntityDetector, OnTotalsRejectsNonEntityKeys) {
+  EntityDetector d(SmallCfg(), 0);
+  const SubWindowSpan span{0, 4};
+  const FiveTuple t{.src_ip = 1, .dst_ip = 2, .src_port = 3, .dst_port = 4,
+                    .proto = 6};
+  const std::uint8_t three_bytes[3] = {1, 0, 0};
+  for (const FlowKey& bad :
+       {FlowKey(FlowKeyKind::kFiveTuple, t), FlowKey(FlowKeyKind::kIpPair, t),
+        FlowKey(FlowKeyKind::kSrcIpDstPort, t),
+        FlowKey::FromRaw(FlowKeyKind::kSrcIp, three_bytes)}) {
+    const std::vector<detect::EntityTotal> totals{{bad, 100}};
+    EXPECT_THROW(d.OnTotals(totals, span, 0, false), std::invalid_argument)
+        << bad.ToString();
+  }
+  // Rejected before any state moved: the next window is still the cold one.
+  EXPECT_EQ(d.stats().windows, 0u);
+  Feed(d, {{Src(1), 100}}, 0);
+  EXPECT_EQ(d.tracked(), 1u);
+}
+
+// --- OnWindow against the sort-everything reference ------------------------
+
+/// The aggregation OnWindow used to run, kept as the reference it must
+/// match: project every live slot onto (entity, value) pairs, sort all of
+/// them by key, coalesce each run of equal keys, and hand every total to
+/// OnTotals.
+void ReferenceOnWindow(EntityDetector& d, const DetectorConfig& cfg,
+                       const WindowResult& w) {
+  std::vector<detect::EntityTotal> totals;
+  const auto add = [&](const FlowKey& entity, std::uint64_t v) {
+    totals.push_back({entity, v});
+  };
+  w.table->ForEach([&](const KvSlot& slot) {
+    const std::uint64_t v = slot.attrs[0];
+    if (v == 0) return;
+    switch (slot.key.kind()) {
+      case FlowKeyKind::kFiveTuple:
+      case FlowKeyKind::kIpPair:
+        if (cfg.track_src) add(Src(slot.key.src_ip()), v);
+        if (cfg.track_dst) add(Dst(slot.key.dst_ip()), v);
+        break;
+      case FlowKeyKind::kSrcIp:
+        if (cfg.track_src) add(slot.key, v);
+        break;
+      case FlowKeyKind::kDstIp:
+        if (cfg.track_dst) add(slot.key, v);
+        break;
+      case FlowKeyKind::kSrcIpDstPort:
+        if (cfg.track_src) add(Src(slot.key.src_ip()), v);
+        break;
+    }
+  });
+  std::sort(totals.begin(), totals.end(),
+            [](const detect::EntityTotal& a, const detect::EntityTotal& b) {
+              return a.entity < b.entity;
+            });
+  std::size_t n = 0;
+  for (const detect::EntityTotal& t : totals) {
+    if (n > 0 && totals[n - 1].entity == t.entity) {
+      totals[n - 1].value += t.value;
+    } else {
+      totals[n++] = t;
+    }
+  }
+  totals.resize(n);
+  d.OnTotals(totals, w.span, w.completed_at, w.partial);
+}
+
+std::vector<std::uint8_t> DetectorBytes(const EntityDetector& d) {
+  SnapshotWriter w;
+  d.Save(w);
+  return w.Take();
+}
+
+bool StatsEqual(const EntityDetector::Stats& a, const EntityDetector::Stats& b) {
+  return a.windows == b.windows && a.partial_windows == b.partial_windows &&
+         a.transitions_degraded == b.transitions_degraded &&
+         a.transitions_down == b.transitions_down &&
+         a.recoveries == b.recoveries && a.evictions == b.evictions &&
+         a.admissions_rejected == b.admissions_rejected &&
+         a.tracked_peak == b.tracked_peak;
+}
+
+// OnWindow sums contributions in a hash table and scores only the entities
+// that are tracked or reach the admission floor; the reference hands every
+// total to the same scoring step. Over randomized windows (every key kind
+// and a mix of them; source-only, destination-only and both; idle eviction
+// at 0, 1 and 30 windows; caps that force capacity evictions and rejected
+// admissions; 1 and 4 table shards, as merge_threads 1 and 4 build them;
+// per-flow counts straddling min_baseline, zero counts, flows that come and
+// go, and a ramp that escalates and recovers) both must produce the same
+// alerts, stats and checkpoint bytes after every window.
+TEST(EntityDetector, OnWindowMatchesSortEverythingReference) {
+  constexpr std::uint32_t kFlows = 160;
+  constexpr int kWindows = 60;
+  constexpr FlowKeyKind kKinds[] = {
+      FlowKeyKind::kFiveTuple, FlowKeyKind::kSrcIp, FlowKeyKind::kDstIp,
+      FlowKeyKind::kIpPair, FlowKeyKind::kSrcIpDstPort};
+  std::uint64_t alerts = 0, evictions = 0, rejected = 0;
+  std::uint64_t seed = 1;
+  for (int kind_mode = 0; kind_mode <= 5; ++kind_mode) {  // 5 = mixed
+    for (const auto& [track_src, track_dst] :
+         {std::pair{true, true}, {true, false}, {false, true}}) {
+      for (const std::size_t idle : {0u, 1u, 30u}) {
+        for (const std::size_t cap : {3u, 12u, 1024u}) {
+          for (const std::size_t shards : {1u, 4u}) {
+            DetectorConfig cfg = SmallCfg();
+            cfg.track_src = track_src;
+            cfg.track_dst = track_dst;
+            cfg.idle_evict_windows = idle;
+            cfg.max_entities = cap;
+            EntityDetector d(cfg, 3);
+            EntityDetector ref(cfg, 3);
+            std::mt19937_64 rng(seed++);
+            const auto pick = [&rng](std::uint64_t n) {
+              return std::uint32_t(rng() % n);
+            };
+            // A fixed flow universe over 40 sources and 24 destinations, so
+            // entities sum several flows and recur across windows.
+            std::vector<FlowKey> flows;
+            for (std::uint32_t i = 0; i < kFlows; ++i) {
+              const FlowKeyKind kind =
+                  kind_mode < 5 ? kKinds[kind_mode] : kKinds[pick(5)];
+              flows.emplace_back(
+                  kind, FiveTuple{.src_ip = 0x0A000000u + pick(40) * 0x01010001u,
+                                  .dst_ip = 0xC0A80000u + pick(24) * 0x00100101u,
+                                  .src_port = std::uint16_t(1024 + i),
+                                  .dst_port = std::uint16_t(80 + pick(3)),
+                                  .proto = 6});
+            }
+            const std::uint32_t ramp_src = flows[0].src_ip();
+            for (int win = 0; win < kWindows; ++win) {
+              // Windows where most flows are absent let tracked entities go
+              // idle, drop below the floor and come back.
+              const std::uint32_t live_pct =
+                  win % 9 == 4 ? 10 : (win % 9 == 5 ? 40 : 85);
+              ShardedKeyValueTable table(1024, shards);
+              bool created = false;
+              for (const FlowKey& key : flows) {
+                if (pick(100) >= live_pct) continue;
+                std::uint64_t v = pick(10) == 0 ? 0 : pick(24);
+                if (key.kind() != FlowKeyKind::kDstIp &&
+                    key.src_ip() == ramp_src && win >= 20 && win < 32) {
+                  v = 40 * std::uint64_t(win - 18);
+                }
+                table.FindOrInsert(key, created).attrs[0] += v;
+              }
+              const TableView view(table);
+              WindowResult w;
+              w.span = {SubWindowNum(win), SubWindowNum(win + 4)};
+              w.table = &view;
+              w.completed_at = Nanos(win + 5) * 100 * kMilli;
+              w.partial = win % 7 == 3;
+              d.OnWindow(w);
+              ReferenceOnWindow(ref, cfg, w);
+              const std::string where =
+                  "kinds " + std::to_string(kind_mode) + " src " +
+                  std::to_string(track_src) + " dst " +
+                  std::to_string(track_dst) + " idle " + std::to_string(idle) +
+                  " cap " + std::to_string(cap) + " shards " +
+                  std::to_string(shards) + " window " + std::to_string(win);
+              ASSERT_EQ(d.alerts(), ref.alerts()) << where;
+              ASSERT_TRUE(StatsEqual(d.stats(), ref.stats())) << where;
+              ASSERT_EQ(DetectorBytes(d), DetectorBytes(ref)) << where;
+            }
+            alerts += d.alerts().size();
+            evictions += d.stats().evictions;
+            rejected += d.stats().admissions_rejected;
+          }
+        }
+      }
+    }
+  }
+  // The sweep reached every branch it is meant to compare.
+  EXPECT_GT(alerts, 0u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 // --- detector checkpoints ---------------------------------------------------
 
 /// One window on switch `sw` whose table holds 40 five-tuple flows; source
@@ -449,6 +632,37 @@ TEST(DetectSnapshot, ForgedEntityKeyIsRejected) {
       ADD_FAILURE() << "forged key byte " << at << " loaded";
     } catch (const SnapshotError& e) {
       EXPECT_NE(std::string(e.what()).find("malformed flow key"),
+                std::string::npos)
+          << e.what();
+    }
+    ASSERT_EQ(SaveBytes(svc), before);
+  }
+  ExpectUnchangedAndUsable(svc, before);
+}
+
+// Scoring encodes entities as integer codes that only kSrcIp/kDstIp keys
+// of four address bytes have, so a well-formed key of any other shape is
+// rejected on restore too.
+TEST(DetectSnapshot, NonEntityKeyIsRejected) {
+  DetectionService src = WarmService();
+  const std::vector<std::uint8_t> bytes = SaveBytes(src);
+  const std::size_t key = SecondSectionOffset(src) + 4 + 1 + 8;
+  DetectionService svc = WarmService();
+  const std::vector<std::uint8_t> before = SaveBytes(svc);
+  const std::pair<std::size_t, std::uint8_t> forgeries[] = {
+      {14, std::uint8_t(FlowKeyKind::kFiveTuple)},
+      {14, std::uint8_t(FlowKeyKind::kIpPair)},
+      {13, 6}};  // a six-byte source key: padding stays zero
+  for (const auto& [at, value] : forgeries) {
+    std::vector<std::uint8_t> forged = bytes;
+    forged.at(key + at) = value;
+    SnapshotReader r(forged);
+    try {
+      svc.Load(r);
+      ADD_FAILURE() << "key byte " << at << " = " << unsigned(value)
+                    << " loaded";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("not a source- or destination-ip"),
                 std::string::npos)
           << e.what();
     }

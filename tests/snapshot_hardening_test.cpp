@@ -10,7 +10,10 @@
 // of a WriteFile checkpoint is caught, with the error naming the section and
 // absolute file offsets), forged lane and table counts in Switch and
 // ExactCountApp checkpoints, stray bytes in a dense stream's empty slots,
-// forged FlowKey bytes in every decoder that reads keys, the CRC-32 kernel
+// forged FlowKey bytes in every decoder that reads keys (a forged length in
+// every key array of a mid-collection program and controller checkpoint
+// leaves the target unchanged), FlowkeyTracker::Load's all-or-nothing
+// guarantee at every truncation of a two-region section, the CRC-32 kernel
 // and combine against a bitwise reference, ShardedKeyValueTable::Load's
 // all-or-nothing guarantee, and the delta-checkpoint encode/apply pair.
 #include <gtest/gtest.h>
@@ -21,6 +24,8 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,8 +33,13 @@
 #include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
 #include "src/controller/sharded_key_value_table.h"
+#include "src/core/controller.h"
+#include "src/core/data_plane.h"
+#include "src/core/flowkey_tracker.h"
+#include "src/core/network_runner.h"
 #include "src/switchsim/pipeline.h"
 #include "src/telemetry/exact_count.h"
+#include "src/trace/generator.h"
 
 namespace ow {
 namespace {
@@ -524,6 +534,232 @@ TEST(FlowKeyDecode, ForgedKeyInPacketIsRejected) {
   LoadPacket(r, out);
   EXPECT_EQ(out.ow.injected_key, injected);
   EXPECT_EQ(out.ow.afrs.at(0).key, afr);
+}
+
+// --- flow keys in tracker, program and controller checkpoints -------------
+
+FlowkeyTrackerConfig SmallTrackerConfig() {
+  FlowkeyTrackerConfig cfg;
+  cfg.capacity = 4;
+  cfg.bloom_bits = 256;
+  cfg.bloom_hashes = 2;
+  return cfg;
+}
+
+/// A tracker whose regions hold Key(id) for the listed ids, in order; ids
+/// past the capacity spill.
+FlowkeyTracker TrackerOf(std::initializer_list<std::uint32_t> region0,
+                         std::initializer_list<std::uint32_t> region1) {
+  FlowkeyTracker t(SmallTrackerConfig());
+  for (const std::uint32_t id : region0) t.Track(0, Key(id));
+  for (const std::uint32_t id : region1) t.Track(1, Key(id));
+  return t;
+}
+
+template <typename T>
+std::vector<std::uint8_t> SaveOf(const T& obj) {
+  SnapshotWriter w;
+  obj.Save(w);
+  return w.Take();
+}
+
+template <typename T>
+void LoadBytes(T& obj, const std::vector<std::uint8_t>& bytes) {
+  SnapshotReader r(bytes);
+  obj.Load(r);
+}
+
+/// Stream offset of the stored `key`; the keys searched for here occur once.
+std::size_t OffsetOf(const std::vector<std::uint8_t>& bytes,
+                     const FlowKey& key) {
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(&key);
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), raw, raw + sizeof(FlowKey));
+  EXPECT_NE(it, bytes.end()) << key.ToString();
+  return std::size_t(it - bytes.begin());
+}
+
+/// `dst` after a failed Load is byte-identical to `before` and usable: it
+/// loads `good` and then tracks exactly as a tracker restored from `good`.
+void ExpectTrackerUnchangedAndUsable(FlowkeyTracker& dst,
+                                     const std::vector<std::uint8_t>& before,
+                                     const std::vector<std::uint8_t>& good) {
+  ASSERT_EQ(SaveOf(dst), before);
+  LoadBytes(dst, good);
+  FlowkeyTracker clean(SmallTrackerConfig());
+  LoadBytes(clean, good);
+  for (const std::uint32_t id : {2u, 40u, 41u}) {
+    EXPECT_EQ(dst.Track(0, Key(id)), clean.Track(0, Key(id)));
+    EXPECT_EQ(dst.Track(1, Key(id)), clean.Track(1, Key(id)));
+  }
+  EXPECT_EQ(SaveOf(dst), SaveOf(clean));
+}
+
+TEST(TrackerHardening, EveryTruncationOfTwoRegionsLeavesTrackerUnchanged) {
+  const FlowkeyTracker src = TrackerOf({1, 2, 3}, {11, 12, 13, 14, 15, 16});
+  ASSERT_EQ(src.spilled(1), 2u);
+  const std::vector<std::uint8_t> bytes = SaveOf(src);
+  FlowkeyTracker dst = TrackerOf({21}, {22, 23});
+  const std::vector<std::uint8_t> before = SaveOf(dst);
+  // Every cut past the stream header, including those that leave region 0
+  // whole: no region may commit unless both decode.
+  for (std::size_t len = 8; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + len);
+    SnapshotReader r(cut);
+    EXPECT_THROW(dst.Load(r), SnapshotError) << "cut at " << len;
+    ASSERT_EQ(SaveOf(dst), before) << "cut at " << len << " mutated it";
+  }
+  ExpectTrackerUnchangedAndUsable(dst, before, bytes);
+}
+
+TEST(TrackerHardening, ForgedKeyInEitherRegionIsRejectedWithoutCommit) {
+  const std::vector<std::uint8_t> good =
+      SaveOf(TrackerOf({1, 2, 3}, {11, 12, 13}));
+  // The last key of each region: region 0 is whole by the time region 1's
+  // key fails.
+  for (const FlowKey& key : {Key(3), Key(13)}) {
+    const std::size_t key_at = OffsetOf(good, key);
+    for (const KeyForgery& f : kKeyForgeries) {
+      const std::vector<std::uint8_t> bytes = ForgeKey(good, key_at, f);
+      FlowkeyTracker dst = TrackerOf({21}, {22, 23});
+      const std::vector<std::uint8_t> before = SaveOf(dst);
+      ExpectMalformedKey([&] { LoadBytes(dst, bytes); }, f);
+      ExpectTrackerUnchangedAndUsable(dst, before, good);
+    }
+  }
+}
+
+/// Switch 0 of a one-switch fabric in the middle of a collection: a
+/// tracker too small for the trace spills keys to the controller, reports
+/// batch four records, and sliding windows keep finalized sub-windows in
+/// the controller's history. `earlier` is the same pair of checkpoints at
+/// the previous collection, the state the restore targets start from.
+struct MidCollection {
+  NetworkRunConfig cfg;
+  std::vector<FlowKey> flow_keys;  ///< every key the trace measures
+  std::vector<std::uint8_t> program, controller;
+  std::vector<std::uint8_t> earlier_program, earlier_controller;
+};
+
+MidCollection DriveIntoCollection() {
+  TraceConfig tc;
+  tc.seed = 3;
+  tc.duration = 400 * kMilli;
+  tc.packets_per_sec = 12'000;
+  tc.num_flows = 400;
+  TraceGenerator gen(tc);
+  const Trace trace = gen.GenerateBackground();
+  WindowSpec spec;
+  spec.type = WindowType::kSliding;
+  spec.window_size = 200 * kMilli;
+  spec.slide = 50 * kMilli;
+  spec.subwindow_size = 50 * kMilli;
+  MidCollection m;
+  m.cfg.base = RunConfig::Make(spec);
+  m.cfg.base.controller.kv_capacity = 1 << 12;
+  m.cfg.base.data_plane.tracker.capacity = 64;
+  m.cfg.base.data_plane.afr_batch = 4;
+  m.cfg.topology.kind = TopologyKind::kLine;
+  m.cfg.topology.line_switches = 1;
+  m.cfg.link.latency = 20 * kMicro;
+  for (const Packet& p : trace.packets) {
+    m.flow_keys.emplace_back(FlowKeyKind::kFiveTuple, p.ft);
+  }
+  FabricSession session(
+      trace, [](std::size_t) { return std::make_shared<ExactCountApp>(); },
+      m.cfg);
+  // Step until the collections of sub-windows 1 and 2 are each under way.
+  for (Nanos t = 0; m.program.empty(); t += 20 * kMicro) {
+    EXPECT_LT(t, trace.Duration()) << "no collection in progress";
+    if (t >= trace.Duration()) break;
+    session.DriveUntil(t);
+    const OmniWindowProgram& prog = session.program(0);
+    const SubWindowNum sub = prog.current_subwindow();
+    if (sub < 2 || prog.QueryRecoverability(sub - 1) !=
+                       OmniWindowProgram::CollectRecoverability::kActive) {
+      continue;
+    }
+    // The previous collection's records sit in the retransmission cache.
+    EXPECT_EQ(prog.QueryRecoverability(sub - 2),
+              OmniWindowProgram::CollectRecoverability::kCached);
+    std::vector<std::uint8_t> program = SaveOf(prog);
+    SnapshotWriter w;
+    session.controller(0).Save(w);
+    if (sub == 2) {
+      m.earlier_program = std::move(program);
+      m.earlier_controller = w.Take();
+    } else if (!m.earlier_program.empty()) {
+      m.program = std::move(program);
+      m.controller = w.Take();
+    }
+  }
+  EXPECT_GT(session.controller(0).stats().spilled_keys_stored, 0u);
+  return m;
+}
+
+/// Offsets in `bytes` of every stored key from `keys`.
+std::vector<std::size_t> KeyOffsets(const std::vector<std::uint8_t>& bytes,
+                                    const std::vector<FlowKey>& keys) {
+  std::set<std::string> wanted;
+  for (const FlowKey& k : keys) {
+    wanted.emplace(reinterpret_cast<const char*>(&k), sizeof(FlowKey));
+  }
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i + sizeof(FlowKey) <= bytes.size(); ++i) {
+    if (wanted.contains(std::string(
+            reinterpret_cast<const char*>(bytes.data() + i), sizeof(FlowKey)))) {
+      at.push_back(i);
+    }
+  }
+  return at;
+}
+
+/// Forge the length byte of every stored flow key in `good` to 200. Each
+/// Load must reject it as a malformed key and leave `dst` byte-identical;
+/// afterwards `dst` still loads `good`, exactly as `clean` (a fresh target)
+/// does.
+template <typename T>
+void ExpectEveryForgedKeyRejected(T& dst, T& clean,
+                                  const std::vector<std::uint8_t>& good,
+                                  const std::vector<FlowKey>& keys) {
+  const std::vector<std::uint8_t> before = SaveOf(dst);
+  const std::vector<std::size_t> offsets = KeyOffsets(good, keys);
+  EXPECT_FALSE(offsets.empty());
+  for (const std::size_t at : offsets) {
+    ExpectMalformedKey(
+        [&] { LoadBytes(dst, ForgeKey(good, at, {kKeyLenAt, 200})); },
+        {kKeyLenAt, 200});
+    ASSERT_EQ(SaveOf(dst), before) << "forged key at offset " << at;
+  }
+  LoadBytes(dst, good);
+  LoadBytes(clean, good);
+  EXPECT_EQ(SaveOf(dst), SaveOf(clean));
+}
+
+// Every FlowKey and FlowRecord array a program checkpoint carries (tracker
+// regions, the keys under collection, the retransmission cache, the report
+// batch, the app's counts, pending packets) is checked on restore, and the
+// restore commits nothing until the whole section has decoded.
+TEST(FlowKeyDecode, ForgedKeyInProgramIsRejectedWithoutCommit) {
+  const MidCollection m = DriveIntoCollection();
+  ASSERT_FALSE(m.program.empty());
+  OmniWindowConfig dp = m.cfg.base.data_plane;
+  dp.first_hop = true;
+  OmniWindowProgram dst(dp, std::make_shared<ExactCountApp>());
+  LoadBytes(dst, m.earlier_program);
+  OmniWindowProgram clean(dp, std::make_shared<ExactCountApp>());
+  ExpectEveryForgedKeyRejected(dst, clean, m.program, m.flow_keys);
+}
+
+// The same for a controller checkpoint: its table, finalized history,
+// pending records and key sets, and spilled keys.
+TEST(FlowKeyDecode, ForgedKeyInControllerIsRejectedWithoutCommit) {
+  const MidCollection m = DriveIntoCollection();
+  ASSERT_FALSE(m.controller.empty());
+  OmniWindowController dst(m.cfg.base.controller, MergeKind::kFrequency);
+  LoadBytes(dst, m.earlier_controller);
+  OmniWindowController clean(m.cfg.base.controller, MergeKind::kFrequency);
+  ExpectEveryForgedKeyRejected(dst, clean, m.controller, m.flow_keys);
 }
 
 // --- dense <-> sparse equivalence -------------------------------------------
