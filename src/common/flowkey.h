@@ -8,8 +8,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -27,6 +30,23 @@ struct FiveTuple {
   std::uint8_t proto = 0;
 
   friend auto operator<=>(const FiveTuple&, const FiveTuple&) = default;
+
+  /// HashBytes over the object's 16-byte image with its 3 padding bytes
+  /// zeroed, so tuples equal under operator== hash equal whatever their
+  /// padding holds (an assigned temporary may carry stack bytes there).
+  /// Whenever the padding already was zero, these are the bytes hashing
+  /// the raw object would read.
+  std::uint64_t Hash(std::uint64_t seed) const noexcept {
+    std::uint8_t img[sizeof(FiveTuple)] = {};
+    std::memcpy(img + offsetof(FiveTuple, src_ip), &src_ip, sizeof src_ip);
+    std::memcpy(img + offsetof(FiveTuple, dst_ip), &dst_ip, sizeof dst_ip);
+    std::memcpy(img + offsetof(FiveTuple, src_port), &src_port,
+                sizeof src_port);
+    std::memcpy(img + offsetof(FiveTuple, dst_port), &dst_port,
+                sizeof dst_port);
+    img[offsetof(FiveTuple, proto)] = proto;
+    return HashBytes(img, seed);
+  }
 
   /// Human-readable "a.b.c.d:p -> a.b.c.d:p/proto".
   std::string ToString() const;
@@ -60,8 +80,38 @@ class FlowKey {
     return {bytes_.data(), len_};
   }
 
+  /// Exactly HashBytes(bytes(), seed), from two fixed 8-byte loads instead
+  /// of a length-dependent copy: bytes [0, 8), and bytes [5, 13) shifted
+  /// down to [8, 13). Both loads stay inside bytes_ (sizeof(FlowKey) is 15,
+  /// so a 16-byte load would run past the object). The lanes equal
+  /// HashBytes' zero-extended tail only because every byte past len_ is
+  /// zero: the invariant WellFormed states and CheckFlowKey enforces on
+  /// decoded keys.
+  std::uint64_t HashRaw(std::uint64_t seed) const noexcept {
+    std::uint64_t lo;
+    std::uint64_t hi;
+    std::memcpy(&lo, bytes_.data(), 8);
+    std::memcpy(&hi, bytes_.data() + 5, 8);
+    if constexpr (std::endian::native == std::endian::little) {
+      hi >>= 24;
+    } else {
+      hi <<= 24;
+    }
+    const std::uint64_t n = len_;
+    std::uint64_t h = seed ^ (n * 0x9E3779B97F4A7C15ull);
+    if (n > 8) {
+      h = Mix64(h ^ lo);
+      h = Mix64(h ^ hi ^ ((n - 8) << 56));
+    } else if (n == 8) {
+      h = Mix64(h ^ lo);
+    } else if (n > 0) {
+      h = Mix64(h ^ lo ^ (n << 56));
+    }
+    return Mix64(h);
+  }
+
   std::uint64_t Hash(std::uint64_t seed) const noexcept {
-    return HashBytes(bytes(), seed ^ static_cast<std::uint64_t>(kind_));
+    return HashRaw(seed ^ static_cast<std::uint64_t>(kind_));
   }
 
   friend auto operator<=>(const FlowKey&, const FlowKey&) = default;
@@ -86,6 +136,16 @@ class FlowKey {
 
 static_assert(sizeof(FlowKey) <= 16);
 
+inline std::uint64_t HashFamily::operator()(
+    std::size_t i, const FlowKey& key) const noexcept {
+  return key.HashRaw(seeds_[i]);
+}
+
+inline std::size_t HashFamily::Index(std::size_t i, const FlowKey& key,
+                                     std::size_t range) const noexcept {
+  return Reduce(key.HashRaw(seeds_[i]), range);
+}
+
 /// std::unordered_map-compatible hasher.
 struct FlowKeyHasher {
   std::size_t operator()(const FlowKey& k) const noexcept {
@@ -95,7 +155,7 @@ struct FlowKeyHasher {
 
 struct FiveTupleHasher {
   std::size_t operator()(const FiveTuple& t) const noexcept {
-    return static_cast<std::size_t>(HashValue(t, 0x1234ABCD5678EF09ull));
+    return static_cast<std::size_t>(t.Hash(0x1234ABCD5678EF09ull));
   }
 };
 

@@ -41,9 +41,7 @@ std::uint64_t HashFamily::operator()(
 std::size_t HashFamily::Index(std::size_t i,
                               std::span<const std::uint8_t> data,
                               std::size_t range) const noexcept {
-  // Fixed-point multiply avoids modulo bias and the divide.
-  return static_cast<std::size_t>(
-      (static_cast<unsigned __int128>((*this)(i, data)) * range) >> 64);
+  return Reduce((*this)(i, data), range);
 }
 
 }  // namespace ow

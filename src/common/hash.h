@@ -10,9 +10,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 namespace ow {
+
+class FlowKey;
 
 /// SplitMix64 finaliser: bijective 64-bit mixer. Used as the avalanche step
 /// of every hash in the repository.
@@ -28,10 +31,14 @@ constexpr std::uint64_t Mix64(std::uint64_t x) noexcept {
 std::uint64_t HashBytes(std::span<const std::uint8_t> data,
                         std::uint64_t seed) noexcept;
 
-/// Convenience: hash a trivially copyable value.
+/// Convenience: hash a value's object representation. Types with padding
+/// bytes are refused at compile time: two equal values could hash apart
+/// when their padding differs (FiveTuple::Hash zeroes it instead).
 template <typename T>
 std::uint64_t HashValue(const T& v, std::uint64_t seed) noexcept {
   static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(std::has_unique_object_representations_v<T>,
+                "HashValue would read padding bytes");
   return HashBytes(std::span(reinterpret_cast<const std::uint8_t*>(&v),
                              sizeof(T)),
                    seed);
@@ -53,7 +60,21 @@ class HashFamily {
   std::size_t Index(std::size_t i, std::span<const std::uint8_t> data,
                     std::size_t range) const noexcept;
 
+  /// The same two functions over a FlowKey's bytes, through the
+  /// fixed-width FlowKey::HashRaw (defined inline in flowkey.h):
+  /// `(*this)(i, key) == (*this)(i, key.bytes())`, likewise for Index.
+  inline std::uint64_t operator()(std::size_t i,
+                                  const FlowKey& key) const noexcept;
+  inline std::size_t Index(std::size_t i, const FlowKey& key,
+                           std::size_t range) const noexcept;
+
  private:
+  /// Fixed-point multiply into [0, range): no modulo bias, no divide.
+  static std::size_t Reduce(std::uint64_t h, std::size_t range) noexcept {
+    return static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(h) * range) >> 64);
+  }
+
   std::vector<std::uint64_t> seeds_;
 };
 

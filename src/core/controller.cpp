@@ -900,54 +900,53 @@ void OmniWindowController::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   w.PodVec(stats_.degraded_subwindows);
 }
 
-void OmniWindowController::Load(SnapshotReader& r) {
+void OmniWindowController::Load(SnapshotReader& r) { Commit(Decode(r)); }
+
+OmniWindowController::Decoded OmniWindowController::Decode(
+    SnapshotReader& r) const {
   if (cfg_.rdma) {
     throw SnapshotError(
         "OmniWindowController: the RDMA collection path is not "
         "checkpointable");
   }
-  // Decode the whole section into scratch before committing any of it: a
-  // stream that fails part-way leaves the controller unchanged.
+  // Decode the whole section into scratch; Commit swaps it in, so a stream
+  // that fails part-way leaves the controller unchanged.
   r.Section(snap::kController);
-  auto table = table_.Decode(r);
+  Decoded d;
+  d.table = table_.Decode(r);
   // Map/list entry counts come off the untrusted stream; bound each by the
   // smallest possible serialized entry (key + length prefix) so a forged
   // count throws instead of ballooning allocations.
-  PooledDeque<std::pair<SubWindowNum, RecordVec>> history;
   const std::size_t num_history = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_history; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
     RecordVec recs;
     ReadFlowKeys(r, recs);
-    history.emplace_back(sub, std::move(recs));
+    d.history.emplace_back(sub, std::move(recs));
   }
-  PooledMap<SubWindowNum, PendingSubWindow> pending;
   const std::size_t num_pending = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_pending; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
-    LoadPending(r, pending[sub]);
+    LoadPending(r, d.pending[sub]);
   }
-  PooledMap<SubWindowNum, PooledVector<FlowKey>> spilled;
   const std::size_t num_spilled = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_spilled; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
-    ReadFlowKeys(r, spilled[sub]);
+    ReadFlowKeys(r, d.spilled[sub]);
   }
-  PooledMap<SubWindowNum, PooledSet<FlowKey>> spilled_seen;
   const std::size_t num_seen = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_seen; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
-    LoadSet(r, spilled_seen[sub]);
+    LoadSet(r, d.spilled_seen[sub]);
   }
-  PooledSet<SubWindowNum> degraded;
-  LoadSet(r, degraded);
-  const auto retry_state = r.Get<Rng::State>();
-  const auto stall_state = r.Get<Rng::State>();
-  const auto next_to_finalize = r.Get<SubWindowNum>();
-  const auto table_floor = r.Get<SubWindowNum>();
-  std::vector<SubWindowTiming> timings;
-  r.PodVec(timings);
-  Stats stats = stats_;
+  LoadSet(r, d.degraded);
+  d.retry_state = r.Get<Rng::State>();
+  d.stall_state = r.Get<Rng::State>();
+  d.next_to_finalize = r.Get<SubWindowNum>();
+  d.table_floor = r.Get<SubWindowNum>();
+  r.PodVec(d.timings);
+  d.stats = stats_;
+  Stats& stats = d.stats;
   stats.afrs_received = r.U64();
   stats.subwindows_finalized = r.U64();
   stats.subwindows_force_finalized = r.U64();
@@ -962,19 +961,22 @@ void OmniWindowController::Load(SnapshotReader& r) {
   stats.rdma_holes_detected = r.U64();
   stats.subwindows_degraded_by_switch = r.U64();
   r.PodVec(stats.degraded_subwindows);
+  return d;
+}
 
-  table_.Commit(std::move(table));
-  history_.swap(history);
-  pending_.swap(pending);
-  spilled_.swap(spilled);
-  spilled_seen_.swap(spilled_seen);
-  degraded_.swap(degraded);
-  retry_rng_.set_state(retry_state);
-  stall_rng_.set_state(stall_state);
-  next_to_finalize_ = next_to_finalize;
-  table_floor_ = table_floor;
-  timings_.swap(timings);
-  stats_ = std::move(stats);
+void OmniWindowController::Commit(Decoded&& d) noexcept {
+  table_.Commit(std::move(d.table));
+  history_.swap(d.history);
+  pending_.swap(d.pending);
+  spilled_.swap(d.spilled);
+  spilled_seen_.swap(d.spilled_seen);
+  degraded_.swap(d.degraded);
+  retry_rng_.set_state(d.retry_state);
+  stall_rng_.set_state(d.stall_state);
+  next_to_finalize_ = d.next_to_finalize;
+  table_floor_ = d.table_floor;
+  timings_.swap(d.timings);
+  stats_ = std::move(d.stats);
 }
 
 }  // namespace ow

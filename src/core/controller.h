@@ -296,6 +296,26 @@ class OmniWindowController {
   void SavePending(SnapshotWriter& w, const PendingSubWindow& p) const;
   void LoadPending(SnapshotReader& r, PendingSubWindow& p) const;
 
+  /// One decoded controller section, not yet committed.
+  struct Decoded {
+    ShardedKeyValueTable::Decoded table;
+    PooledDeque<std::pair<SubWindowNum, RecordVec>> history;
+    PooledMap<SubWindowNum, PendingSubWindow> pending;
+    PooledMap<SubWindowNum, PooledVector<FlowKey>> spilled;
+    PooledMap<SubWindowNum, PooledSet<FlowKey>> spilled_seen;
+    PooledSet<SubWindowNum> degraded;
+    Rng::State retry_state{};
+    Rng::State stall_state{};
+    SubWindowNum next_to_finalize = 0;
+    SubWindowNum table_floor = 0;
+    std::vector<SubWindowTiming> timings;
+    Stats stats;
+  };
+  // FabricSession::FailOver decodes every controller before committing any.
+  friend class FabricSession;
+  Decoded Decode(SnapshotReader& r) const;
+  void Commit(Decoded&& d) noexcept;
+
   ControllerConfig cfg_;
   MergeKind merge_kind_;
   Switch* switch_ = nullptr;

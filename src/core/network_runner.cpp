@@ -211,7 +211,15 @@ FabricSession::FabricSession(
   switches_[0]->EnqueueFromWire(sentinel, sentinel.ts);
 }
 
-Nanos FabricSession::DriveUntil(Nanos t) { return net_.RunUntilQuiescent(t); }
+Nanos FabricSession::DriveUntil(Nanos t) {
+  const Nanos last = net_.RunUntilQuiescent(t);
+  FlushReportLinkObs();
+  return last;
+}
+
+void FabricSession::FlushReportLinkObs() noexcept {
+  for (const auto& link : report_links_) link->FlushObs();
+}
 
 void FabricSession::BuildSnapshot(SnapshotWriter& w,
                                   KvSnapshotMode mode) const {
@@ -294,10 +302,19 @@ FabricSession::TakeoverStats FabricSession::FailOver(
   r.Section(snap::kControllerPlane);
   CheckShape(snap::kControllerPlane, "FabricSession", "controller count",
              controllers_.size(), r.Size());
-  for (const auto& controller : controllers_) controller->Load(r);
+  // Decode every controller's section before committing any: a stream
+  // that fails in a later section leaves every controller unchanged.
+  std::vector<OmniWindowController::Decoded> decoded;
+  decoded.reserve(controllers_.size());
+  for (const auto& controller : controllers_) {
+    decoded.push_back(controller->Decode(r));
+  }
   if (!r.AtEnd()) {
     throw SnapshotError(
         "FabricSession: trailing bytes in controller-plane snapshot");
+  }
+  for (std::size_t i = 0; i < controllers_.size(); ++i) {
+    controllers_[i]->Commit(std::move(decoded[i]));
   }
   TakeoverStats stats;
   takeover_targets_.assign(controllers_.size(), 0);
@@ -358,6 +375,7 @@ NetworkRunResult FabricSession::Finish() {
     net_.RunUntilQuiescent(horizon);
   }
 
+  FlushReportLinkObs();
   for (const std::uint64_t v : sink_delivered_) result_.delivered += v;
   const std::size_t num_switches = adj_.size();
   for (std::size_t i = 0; i < num_switches; ++i) {

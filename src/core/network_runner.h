@@ -201,7 +201,9 @@ class FabricSession {
   /// stream accumulated so far is kept: post-takeover emissions append to
   /// it, and spans the dead primary already delivered re-emit (at-least-
   /// once — dedupe by span, keeping the first copy). Call at a quiescent
-  /// point; keep driving afterwards so the re-requests are answered.
+  /// point; keep driving afterwards so the re-requests are answered. Every
+  /// controller's section decodes before any commits: a malformed
+  /// checkpoint throws SnapshotError and leaves all controllers unchanged.
   struct TakeoverStats {
     std::size_t subwindows_requeried = 0;
     std::size_t subwindows_lost = 0;
@@ -227,6 +229,10 @@ class FabricSession {
  private:
   /// Shared body of Snapshot/SnapshotToFile: serialize into `w`.
   void BuildSnapshot(SnapshotWriter& w, KvSnapshotMode mode) const;
+  /// Publish the report links' link.* totals (the fabric's own links are
+  /// flushed by Network::RunUntilQuiescent). Called at the end of every
+  /// drive, so the registry is current whenever DriveUntil/Finish return.
+  void FlushReportLinkObs() noexcept;
 
  public:
   std::size_t num_switches() const noexcept { return switches_.size(); }
@@ -236,6 +242,10 @@ class FabricSession {
   const OmniWindowController& controller(std::size_t i) const {
     return *controllers_[i];
   }
+  /// The fabric (its links() are the fabric and sink links) and switch i's
+  /// switch -> controller report link, for inspection.
+  const Network& network() const noexcept { return net_; }
+  const Link& report_link(std::size_t i) const { return *report_links_[i]; }
 
  private:
   NetworkRunConfig cfg_;

@@ -8,7 +8,7 @@ namespace ow {
 
 void Link::Transmit(Packet p, Nanos now) {
   ++transmitted_;
-  obs_transmitted_->Add();
+  ++pending_obs_.transmitted;
   // Every feature draws exactly once per transmitted packet from its own
   // stream, whether or not it is enabled and whether or not the packet is
   // ultimately dropped. This keeps each stream aligned to the packet index,
@@ -28,22 +28,31 @@ void Link::Transmit(Packet p, Nanos now) {
     // and tests already observe; only the fault.link.* counters tell the
     // two causes apart.
     ++dropped_;
-    obs_dropped_->Add();
+    ++pending_obs_.dropped;
     return;
   }
   Nanos delay = params_.latency + jit;
   if (spike) {
     delay += params_.spike_extra;
     ++spiked_;
-    obs_spiked_->Add();
+    ++pending_obs_.spiked;
   }
   delay += fd.extra_delay;
-  obs_delay_->Record(std::uint64_t(delay));
+  pending_obs_.delay.Record(std::uint64_t(delay));
   if (fd.duplicate) {
     Packet copy = p;
     deliver_(std::move(copy), now + delay + fd.dup_gap);
   }
   deliver_(std::move(p), now + delay);
+}
+
+void Link::FlushObs() noexcept {
+  if (pending_obs_.transmitted == 0) return;  // every other count needs one
+  obs_transmitted_->Add(pending_obs_.transmitted);
+  obs_dropped_->Add(pending_obs_.dropped);
+  obs_spiked_->Add(pending_obs_.spiked);
+  obs_delay_->Merge(pending_obs_.delay);
+  pending_obs_ = PendingObs();
 }
 
 void Link::Save(SnapshotWriter& w) const {

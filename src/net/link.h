@@ -48,6 +48,9 @@ class Link {
         obs_dropped_(&obs::Global().GetCounter("link.dropped")),
         obs_spiked_(&obs::Global().GetCounter("link.spiked")),
         obs_delay_(&obs::Global().GetHistogram("link.delay_ns")) {}
+  ~Link() { FlushObs(); }
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Transmit `p` at time `now`; the consumer sees it after the link delay
   /// (or never, on loss).
@@ -67,6 +70,15 @@ class Link {
   std::uint64_t transmitted() const noexcept { return transmitted_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
   std::uint64_t spiked() const noexcept { return spiked_; }
+
+  /// Publish the transmissions since the last flush to the registry's
+  /// link.* instruments. Transmit keeps them in plain members, so a hop
+  /// touches no atomic that other links and engine threads share; call
+  /// this from a thread ordered after every Transmit since the last flush
+  /// (Network::RunUntilQuiescent flushes its links once the sweep is
+  /// over, FabricSession its report links; the destructor flushes what
+  /// is left).
+  void FlushObs() noexcept;
 
   /// Checkpoint the link's schedule position: RNG streams, stat counters,
   /// and (when armed) the fault injector's streams. Params/deliver/profile
@@ -89,6 +101,15 @@ class Link {
   std::uint64_t transmitted_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t spiked_ = 0;
+  /// Registry deltas not yet published by FlushObs. Kept apart from the
+  /// checkpointed totals above, which Load overwrites.
+  struct PendingObs {
+    std::uint64_t transmitted = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t spiked = 0;
+    obs::LocalHistogram delay;
+  };
+  PendingObs pending_obs_;
 };
 
 }  // namespace ow

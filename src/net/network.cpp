@@ -122,8 +122,12 @@ Link* Network::ConnectToSink(Switch* a, LinkParams params, Link::Deliver sink,
 
 Nanos Network::RunUntilQuiescent(Nanos max_time) {
   const std::size_t nthreads = std::min(parallel_.threads, nodes_.size());
-  if (nthreads <= 1) return RunOnCaller(max_time);
-  return RunPooled(max_time, nthreads);
+  const Nanos last =
+      nthreads <= 1 ? RunOnCaller(max_time) : RunPooled(max_time, nthreads);
+  // Every Transmit of this run happened on a sweeping thread the pool join
+  // (or the caller itself) orders before this point.
+  for (const auto& link : links_) link->FlushObs();
+  return last;
 }
 
 bool Network::HasPendingThrough(Nanos max_time) const {

@@ -35,6 +35,14 @@ std::string Escaped(const std::string& s) {
   return out;
 }
 
+/// Relaxed atomic max.
+void RaiseTo(std::atomic<std::uint64_t>& cell, std::uint64_t v) noexcept {
+  std::uint64_t prev = cell.load(std::memory_order_relaxed);
+  while (prev < v &&
+         !cell.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 void Histogram::Record(std::uint64_t v) noexcept {
@@ -45,10 +53,23 @@ void Histogram::Record(std::uint64_t v) noexcept {
   buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
-  std::uint64_t prev = max_.load(std::memory_order_relaxed);
-  while (prev < v &&
-         !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+  RaiseTo(max_, v);
+}
+
+void Histogram::Merge(const LocalHistogram& local) noexcept {
+  if constexpr (!kEnabled) {
+    (void)local;
+    return;
   }
+  if (local.count_ == 0) return;
+  for (int i = 0; i < kBuckets; ++i) {
+    if (local.buckets_[i] != 0) {
+      buckets_[i].fetch_add(local.buckets_[i], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(local.count_, std::memory_order_relaxed);
+  sum_.fetch_add(local.sum_, std::memory_order_relaxed);
+  RaiseTo(max_, local.max_);
 }
 
 std::uint64_t Histogram::Quantile(double q) const noexcept {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -77,6 +78,8 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
+class LocalHistogram;
+
 /// Log-bucketed histogram over uint64 samples (nanoseconds, sizes, ...).
 /// Bucket i holds samples whose bit width is i, i.e. [2^(i-1), 2^i); bucket
 /// 0 holds exact zeros. Quantiles therefore carry up to 2x bucket error,
@@ -87,6 +90,9 @@ class Histogram {
   static constexpr int kBuckets = 65;  // bit_width(uint64) in [0, 64]
 
   void Record(std::uint64_t v) noexcept;
+  /// Fold a LocalHistogram's samples in: the same buckets, count, sum and
+  /// max as Record-ing each of them here.
+  void Merge(const LocalHistogram& local) noexcept;
 
   std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -108,6 +114,31 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
+};
+
+/// Single-owner Histogram accumulator for per-hop instruments: Record is
+/// plain adds into members, not shared atomics. The owner publishes with
+/// Histogram::Merge at a point where no other thread records into it, then
+/// starts a fresh one (net::Link batches link.delay_ns this way).
+class LocalHistogram {
+ public:
+  void Record(std::uint64_t v) noexcept {
+    if constexpr (kEnabled) {
+      ++buckets_[std::bit_width(v)];
+      ++count_;
+      sum_ += v;
+      if (v > max_) max_ = v;
+    } else {
+      (void)v;
+    }
+  }
+
+ private:
+  friend class Histogram;
+  std::uint64_t buckets_[Histogram::kBuckets]{};
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t max_ = 0;
 };
 
 /// One completed trace span. `name` points at the interned key inside the

@@ -16,7 +16,7 @@ BloomFilter::BloomFilter(std::size_t bits, std::size_t k, std::uint64_t seed)
 }
 
 std::size_t BloomFilter::BitIndex(std::size_t i, const FlowKey& key) const {
-  return hashes_.Index(i, key.bytes(), bits_);
+  return hashes_.Index(i, key, bits_);
 }
 
 void BloomFilter::Insert(const FlowKey& key) {

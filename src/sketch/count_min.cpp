@@ -23,14 +23,14 @@ CountMinSketch CountMinSketch::WithMemory(std::size_t memory_bytes,
 
 void CountMinSketch::Update(const FlowKey& key, std::uint64_t inc) {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    rows_[i][hashes_.Index(i, key.bytes(), width_)] += inc;
+    rows_[i][hashes_.Index(i, key, width_)] += inc;
   }
 }
 
 std::uint64_t CountMinSketch::Estimate(const FlowKey& key) const {
   std::uint64_t best = UINT64_MAX;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    best = std::min(best, rows_[i][hashes_.Index(i, key.bytes(), width_)]);
+    best = std::min(best, rows_[i][hashes_.Index(i, key, width_)]);
   }
   return best == UINT64_MAX ? 0 : best;
 }

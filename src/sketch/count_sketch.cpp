@@ -21,12 +21,12 @@ CountSketch CountSketch::WithMemory(std::size_t memory_bytes,
 }
 
 std::int64_t CountSketch::Sign(std::size_t row, const FlowKey& key) const {
-  return (signs_(row, key.bytes()) & 1) ? 1 : -1;
+  return (signs_(row, key) & 1) ? 1 : -1;
 }
 
 void CountSketch::Update(const FlowKey& key, std::uint64_t inc) {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    rows_[i][hashes_.Index(i, key.bytes(), width_)] +=
+    rows_[i][hashes_.Index(i, key, width_)] +=
         Sign(i, key) * std::int64_t(inc);
   }
 }
@@ -36,7 +36,7 @@ std::uint64_t CountSketch::Estimate(const FlowKey& key) const {
   ests.reserve(rows_.size());
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     ests.push_back(Sign(i, key) *
-                   rows_[i][hashes_.Index(i, key.bytes(), width_)]);
+                   rows_[i][hashes_.Index(i, key, width_)]);
   }
   std::nth_element(ests.begin(), ests.begin() + ests.size() / 2, ests.end());
   const std::int64_t median = ests[ests.size() / 2];

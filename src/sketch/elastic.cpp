@@ -29,16 +29,16 @@ ElasticSketch ElasticSketch::WithMemory(std::size_t memory_bytes,
 }
 
 void ElasticSketch::LightAdd(const FlowKey& key, std::uint64_t inc) {
-  auto& cell = light_[hashes_.Index(1, key.bytes(), light_.size())];
+  auto& cell = light_[hashes_.Index(1, key, light_.size())];
   cell = std::uint16_t(std::min<std::uint64_t>(kLightMax, cell + inc));
 }
 
 std::uint64_t ElasticSketch::LightEstimate(const FlowKey& key) const {
-  return light_[hashes_.Index(1, key.bytes(), light_.size())];
+  return light_[hashes_.Index(1, key, light_.size())];
 }
 
 void ElasticSketch::Update(const FlowKey& key, std::uint64_t inc) {
-  Bucket& b = heavy_[hashes_.Index(0, key.bytes(), heavy_.size())];
+  Bucket& b = heavy_[hashes_.Index(0, key, heavy_.size())];
   if (!b.occupied) {
     b.key = key;
     b.pos = inc;
@@ -68,7 +68,7 @@ void ElasticSketch::Update(const FlowKey& key, std::uint64_t inc) {
 }
 
 std::uint64_t ElasticSketch::Estimate(const FlowKey& key) const {
-  const Bucket& b = heavy_[hashes_.Index(0, key.bytes(), heavy_.size())];
+  const Bucket& b = heavy_[hashes_.Index(0, key, heavy_.size())];
   if (b.occupied && b.key == key) {
     return b.pos + (b.ever_evicted ? LightEstimate(key) : 0);
   }

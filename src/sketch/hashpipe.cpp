@@ -27,7 +27,7 @@ void HashPipe::Update(const FlowKey& key, std::uint64_t inc) {
   FlowKey carried_key = key;
   std::uint64_t carried_count = inc;
   {
-    Slot& s = tables_[0][hashes_.Index(0, key.bytes(), slots_)];
+    Slot& s = tables_[0][hashes_.Index(0, key, slots_)];
     if (s.occupied && s.key == key) {
       s.count += inc;
       return;
@@ -40,7 +40,7 @@ void HashPipe::Update(const FlowKey& key, std::uint64_t inc) {
   }
   // Later stages: merge on match, else keep the heavier entry.
   for (std::size_t st = 1; st < tables_.size(); ++st) {
-    Slot& s = tables_[st][hashes_.Index(st, carried_key.bytes(), slots_)];
+    Slot& s = tables_[st][hashes_.Index(st, carried_key, slots_)];
     if (!s.occupied) {
       s.key = carried_key;
       s.count = carried_count;
@@ -63,7 +63,7 @@ void HashPipe::Update(const FlowKey& key, std::uint64_t inc) {
 std::uint64_t HashPipe::Estimate(const FlowKey& key) const {
   std::uint64_t total = 0;
   for (std::size_t st = 0; st < tables_.size(); ++st) {
-    const Slot& s = tables_[st][hashes_.Index(st, key.bytes(), slots_)];
+    const Slot& s = tables_[st][hashes_.Index(st, key, slots_)];
     if (s.occupied && s.key == key) total += s.count;
   }
   return total;

@@ -23,7 +23,7 @@ MvSketch MvSketch::WithMemory(std::size_t memory_bytes, std::size_t depth,
 
 void MvSketch::Update(const FlowKey& key, std::uint64_t inc) {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    Bucket& b = rows_[i][hashes_.Index(i, key.bytes(), width_)];
+    Bucket& b = rows_[i][hashes_.Index(i, key, width_)];
     b.total += inc;
     if (b.indicator == 0) {
       b.candidate = key;
@@ -43,7 +43,7 @@ void MvSketch::Update(const FlowKey& key, std::uint64_t inc) {
 std::uint64_t MvSketch::Estimate(const FlowKey& key) const {
   std::uint64_t best = UINT64_MAX;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Bucket& b = rows_[i][hashes_.Index(i, key.bytes(), width_)];
+    const Bucket& b = rows_[i][hashes_.Index(i, key, width_)];
     // MV-Sketch point estimate: (V + C) / 2 if the bucket votes for this
     // key, (V - C) / 2 otherwise.
     const std::uint64_t est =

@@ -39,7 +39,7 @@ void SlidingCountMin::Update(const FlowKey& key, std::uint64_t inc,
                              Nanos now) {
   AdvanceTo(now);
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    rows_[i][hashes_.Index(i, key.bytes(), width_)].cur += inc;
+    rows_[i][hashes_.Index(i, key, width_)].cur += inc;
   }
 }
 
@@ -47,7 +47,7 @@ std::uint64_t SlidingCountMin::Estimate(const FlowKey& key, Nanos now) {
   AdvanceTo(now);
   std::uint64_t best = UINT64_MAX;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Cell& c = rows_[i][hashes_.Index(i, key.bytes(), width_)];
+    const Cell& c = rows_[i][hashes_.Index(i, key, width_)];
     best = std::min(best, c.prev + c.cur);
   }
   return best == UINT64_MAX ? 0 : best;
@@ -84,7 +84,7 @@ void SlidingSuMax::Update(const FlowKey& key, std::uint64_t inc, Nanos now) {
   std::uint64_t low = UINT64_MAX;
   const std::size_t d = rows_.size();
   for (std::size_t i = 0; i < d; ++i) {
-    idx[i] = hashes_.Index(i, key.bytes(), width_);
+    idx[i] = hashes_.Index(i, key, width_);
     low = std::min(low, rows_[i][idx[i]].cur);
   }
   const std::uint64_t bound = low + inc;
@@ -98,7 +98,7 @@ std::uint64_t SlidingSuMax::Estimate(const FlowKey& key, Nanos now) {
   AdvanceTo(now);
   std::uint64_t best = UINT64_MAX;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Cell& c = rows_[i][hashes_.Index(i, key.bytes(), width_)];
+    const Cell& c = rows_[i][hashes_.Index(i, key, width_)];
     best = std::min(best, c.prev + c.cur);
   }
   return best == UINT64_MAX ? 0 : best;
@@ -155,7 +155,7 @@ void SlidingMvSketch::Update(const FlowKey& key, std::uint64_t inc,
                              Nanos now) {
   AdvanceTo(now);
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    MvUpdate(rows_[i][hashes_.Index(i, key.bytes(), width_)].cur, key, inc);
+    MvUpdate(rows_[i][hashes_.Index(i, key, width_)].cur, key, inc);
   }
 }
 
@@ -163,7 +163,7 @@ std::uint64_t SlidingMvSketch::Estimate(const FlowKey& key, Nanos now) {
   AdvanceTo(now);
   std::uint64_t best = UINT64_MAX;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Cell& c = rows_[i][hashes_.Index(i, key.bytes(), width_)];
+    const Cell& c = rows_[i][hashes_.Index(i, key, width_)];
     best = std::min(best, MvEstimate(c.prev, key) + MvEstimate(c.cur, key));
   }
   return best == UINT64_MAX ? 0 : best;

@@ -102,7 +102,7 @@ SpreadSketch SpreadSketch::WithMemory(std::size_t memory_bytes,
 
 void SpreadSketch::Update(const FlowKey& key, std::uint64_t element_hash) {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    Bucket& b = rows_[i][hashes_.Index(i, key.bytes(), width_)];
+    Bucket& b = rows_[i][hashes_.Index(i, key, width_)];
     const std::size_t level = b.mrb.Insert(element_hash);
     if (std::int32_t(level) >= b.level) {
       b.level = std::int32_t(level);
@@ -114,7 +114,7 @@ void SpreadSketch::Update(const FlowKey& key, std::uint64_t element_hash) {
 double SpreadSketch::EstimateSpread(const FlowKey& key) const {
   double best = -1;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Bucket& b = rows_[i][hashes_.Index(i, key.bytes(), width_)];
+    const Bucket& b = rows_[i][hashes_.Index(i, key, width_)];
     const double est = b.mrb.Estimate();
     if (best < 0 || est < best) best = est;
   }
@@ -125,7 +125,7 @@ SpreadSignature SpreadSketch::Signature(const FlowKey& key) const {
   double best = -1;
   const MultiResolutionBitmap* best_mrb = nullptr;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Bucket& b = rows_[i][hashes_.Index(i, key.bytes(), width_)];
+    const Bucket& b = rows_[i][hashes_.Index(i, key, width_)];
     const double est = b.mrb.Estimate();
     if (best < 0 || est < best) {
       best = est;

@@ -30,7 +30,7 @@ void SuMaxSketch::Update(const FlowKey& key, std::uint64_t inc) {
   std::size_t idx[16];
   const std::size_t d = rows_.size();
   for (std::size_t i = 0; i < d; ++i) {
-    idx[i] = hashes_.Index(i, key.bytes(), width_);
+    idx[i] = hashes_.Index(i, key, width_);
     low = std::min(low, rows_[i][idx[i]]);
   }
   const std::uint64_t bound = low + inc;
@@ -42,7 +42,7 @@ void SuMaxSketch::Update(const FlowKey& key, std::uint64_t inc) {
 std::uint64_t SuMaxSketch::Estimate(const FlowKey& key) const {
   std::uint64_t best = UINT64_MAX;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    best = std::min(best, rows_[i][hashes_.Index(i, key.bytes(), width_)]);
+    best = std::min(best, rows_[i][hashes_.Index(i, key, width_)]);
   }
   return best == UINT64_MAX ? 0 : best;
 }

@@ -37,7 +37,7 @@ void VectorBloomFilter::Update(const FlowKey& key,
                                std::uint64_t element_hash) {
   const std::size_t bit = static_cast<std::size_t>(Mix64(element_hash) % bits_);
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    auto& bitmap = arrays_[i][hashes_.Index(i, key.bytes(), bitmaps_)];
+    auto& bitmap = arrays_[i][hashes_.Index(i, key, bitmaps_)];
     bitmap[bit / 64] |= 1ull << (bit % 64);
   }
 }
@@ -56,7 +56,7 @@ double VectorBloomFilter::EstimateSpread(const FlowKey& key) const {
   double best = -1;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
     const double est =
-        LinearCount(arrays_[i][hashes_.Index(i, key.bytes(), bitmaps_)]);
+        LinearCount(arrays_[i][hashes_.Index(i, key, bitmaps_)]);
     if (best < 0 || est < best) best = est;
   }
   return best < 0 ? 0 : best;
@@ -66,7 +66,7 @@ SpreadSignature VectorBloomFilter::Signature(const FlowKey& key) const {
   double best = -1;
   const std::vector<std::uint64_t>* best_bitmap = nullptr;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    const auto& bitmap = arrays_[i][hashes_.Index(i, key.bytes(), bitmaps_)];
+    const auto& bitmap = arrays_[i][hashes_.Index(i, key, bitmaps_)];
     const double est = LinearCount(bitmap);
     if (best < 0 || est < best) {
       best = est;

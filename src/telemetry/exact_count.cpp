@@ -1,5 +1,8 @@
 #include "src/telemetry/exact_count.h"
 
+#include <algorithm>
+#include <vector>
+
 namespace ow {
 
 void ExactCountApp::Update(const Packet& p, int region) {
@@ -24,11 +27,20 @@ void ExactCountApp::ResetSlice(int region, std::size_t) {
 
 void ExactCountApp::SaveState(SnapshotWriter& w) {
   w.Section(snap::kApp);
+  // Key order, not bucket order: bucket order follows the map's insertion
+  // history, so a restored program would save different bytes from the
+  // program that wrote it.
+  std::vector<const FlowCounts::value_type*> sorted;
   for (const FlowCounts& counts : counts_) {
-    w.Size(counts.size());
-    for (const auto& [key, count] : counts) {
-      w.Pod(key);
-      w.U64(count);
+    sorted.clear();
+    sorted.reserve(counts.size());
+    for (const auto& entry : counts) sorted.push_back(&entry);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    w.Size(sorted.size());
+    for (const auto* entry : sorted) {
+      w.Pod(entry->first);
+      w.U64(entry->second);
     }
   }
 }

@@ -37,7 +37,8 @@ class ExactCountApp final : public TelemetryAppAdapter {
   std::size_t NumResetSlices() const override { return 1; }
 
   /// Exact maps live outside register arrays, so checkpointing serializes
-  /// them entry-by-entry (order-independent: lookups never iterate).
+  /// them entry-by-entry, sorted by key: save -> load -> save reproduces
+  /// the bytes. Decoding accepts any entry order (lookups never iterate).
   void SaveState(SnapshotWriter& w) override;
   std::function<void()> DecodeState(SnapshotReader& r) override;
 

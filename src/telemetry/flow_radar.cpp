@@ -45,7 +45,7 @@ FlowKey FlowRadarApp::UnpackKey(std::uint64_t lo, std::uint64_t hi) {
 }
 
 std::size_t FlowRadarApp::CellOf(std::size_t group, const FlowKey& key) const {
-  return hashes_.Index(group, key.bytes(), cells_);
+  return hashes_.Index(group, key, cells_);
 }
 
 void FlowRadarApp::Update(const Packet& p, int region) {

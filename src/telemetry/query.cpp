@@ -13,7 +13,7 @@ bool IsFin(const Packet& p) { return IsTcp(p) && (p.tcp_flags & kTcpFin); }
 
 std::uint64_t ConnElement(const Packet& p) {
   // A "connection" element: the full five-tuple.
-  return HashValue(p.ft, 0xC011EC7ull);
+  return p.ft.Hash(0xC011EC7ull);
 }
 std::uint64_t SrcElement(const Packet& p) {
   return HashValue(p.ft.src_ip, 0x51CE1E11ull);

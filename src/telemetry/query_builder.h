@@ -145,7 +145,7 @@ inline std::uint64_t SrcPort(const Packet& p) {
   return HashValue(p.ft.src_port, 0x51C70087ull);
 }
 inline std::uint64_t Connection(const Packet& p) {
-  return HashValue(p.ft, 0xC011EC7ull);
+  return p.ft.Hash(0xC011EC7ull);
 }
 
 }  // namespace elements

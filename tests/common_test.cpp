@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
+#include <cstring>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/flowkey.h"
@@ -95,6 +98,80 @@ TEST(FlowKey, UsableAsUnorderedMapKey) {
   set.insert(FlowKey(FlowKeyKind::kFiveTuple, t));
   set.insert(FlowKey(FlowKeyKind::kFiveTuple, t));
   EXPECT_EQ(set.size(), 1u);
+}
+
+// The fixed-width hash is the span hash, for every key a constructor can
+// build: each kind's projection, raw keys of every length, the default key.
+TEST(FlowKey, FixedWidthHashEqualsSpanHash) {
+  constexpr FlowKeyKind kKinds[] = {
+      FlowKeyKind::kFiveTuple, FlowKeyKind::kSrcIp, FlowKeyKind::kDstIp,
+      FlowKeyKind::kIpPair, FlowKeyKind::kSrcIpDstPort};
+  Rng rng(0x4A5E);
+  std::vector<FlowKey> keys = {FlowKey()};
+  for (const FlowKeyKind kind : kKinds) {
+    for (int i = 0; i < 8; ++i) {
+      const FiveTuple t{std::uint32_t(rng.NextU64()),
+                        std::uint32_t(rng.NextU64()),
+                        std::uint16_t(rng.NextU64()),
+                        std::uint16_t(rng.NextU64()),
+                        std::uint8_t(rng.NextU64())};
+      keys.emplace_back(kind, t);
+    }
+    for (std::size_t len = 0; len <= 13; ++len) {
+      std::uint8_t raw[13];
+      for (std::uint8_t& b : raw) b = std::uint8_t(rng.NextU64() | 1);
+      keys.push_back(FlowKey::FromRaw(kind, std::span(raw, len)));
+    }
+  }
+  const HashFamily family(3, 0xFA11);
+  for (const FlowKey& key : keys) {
+    SCOPED_TRACE(key.ToString());
+    ASSERT_TRUE(key.WellFormed());
+    for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1},
+                                     rng.NextU64(), ~std::uint64_t{0}}) {
+      EXPECT_EQ(key.HashRaw(seed), HashBytes(key.bytes(), seed));
+      EXPECT_EQ(key.Hash(seed),
+                HashBytes(key.bytes(),
+                          seed ^ static_cast<std::uint64_t>(key.kind())));
+    }
+    for (std::size_t i = 0; i < family.size(); ++i) {
+      EXPECT_EQ(family(i, key), family(i, key.bytes()));
+      for (const std::size_t range :
+           {std::size_t{1}, std::size_t{17}, std::size_t{1} << 20,
+            ~std::size_t{0}}) {
+        EXPECT_EQ(family.Index(i, key, range),
+                  family.Index(i, key.bytes(), range));
+      }
+    }
+  }
+}
+
+// Equal tuples hash equal whatever their 3 padding bytes hold, and a tuple
+// whose padding is zero hashes to the bytes of its raw object image.
+TEST(FiveTuple, HashIgnoresPaddingBytes) {
+  static_assert(sizeof(FiveTuple) == 16);
+  alignas(FiveTuple) std::uint8_t clean_img[sizeof(FiveTuple)] = {};
+  alignas(FiveTuple) std::uint8_t dirty_img[sizeof(FiveTuple)];
+  std::memset(dirty_img, 0xAB, sizeof dirty_img);
+  const FiveTuple t{0xC0A80101, 0x0A000002, 443, 51000, 6};
+  for (std::uint8_t* img : {clean_img, dirty_img}) {
+    std::memcpy(img + offsetof(FiveTuple, src_ip), &t.src_ip, 4);
+    std::memcpy(img + offsetof(FiveTuple, dst_ip), &t.dst_ip, 4);
+    std::memcpy(img + offsetof(FiveTuple, src_port), &t.src_port, 2);
+    std::memcpy(img + offsetof(FiveTuple, dst_port), &t.dst_port, 2);
+    img[offsetof(FiveTuple, proto)] = t.proto;
+  }
+  FiveTuple clean;
+  FiveTuple dirty;
+  std::memcpy(&clean, clean_img, sizeof clean);
+  std::memcpy(&dirty, dirty_img, sizeof dirty);
+  ASSERT_EQ(clean, dirty);
+  ASSERT_NE(std::memcmp(&clean, &dirty, sizeof clean), 0);
+  for (const std::uint64_t seed : {0x1234ABCD5678EF09ull, 0xC011EC7ull}) {
+    EXPECT_EQ(clean.Hash(seed), dirty.Hash(seed));
+    EXPECT_EQ(clean.Hash(seed), HashBytes(clean_img, seed));
+  }
+  EXPECT_EQ(FiveTupleHasher{}(clean), FiveTupleHasher{}(dirty));
 }
 
 TEST(Rng, DeterministicFromSeed) {

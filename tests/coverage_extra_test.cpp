@@ -77,7 +77,7 @@ TEST(TraceAnomalies, ConnectionFloodIsOneActorManyConns) {
   for (const Packet& p : trace.packets) {
     EXPECT_EQ(p.Key(FlowKeyKind::kSrcIp), actor);
     EXPECT_EQ(p.tcp_flags, kTcpSyn);
-    conns.insert(HashValue(p.ft, 1));
+    conns.insert(p.ft.Hash(1));
   }
   EXPECT_EQ(conns.size(), 250u);
 }

@@ -371,6 +371,48 @@ TEST(Failover, FinishedSessionRefusesReuse) {
   EXPECT_THROW((void)session.FailOver(ctrl, 0), std::logic_error);
 }
 
+// A takeover commits every controller or none: each truncation of a
+// two-controller checkpoint throws and leaves both controllers' state
+// byte-identical, including cuts that leave controller 0's section whole.
+TEST(Failover, TruncatedCheckpointLeavesEveryControllerUnchanged) {
+  TraceConfig tc;
+  tc.seed = 9308;
+  tc.duration = 200 * kMilli;
+  tc.packets_per_sec = 4'000;
+  tc.num_flows = 100;
+  const Trace trace = TraceGenerator(tc).GenerateBackground();
+  NetworkRunConfig cfg = TumblingFabricConfig();
+  cfg.topology = TopologyConfig{};
+  cfg.topology.kind = TopologyKind::kLine;
+  cfg.topology.line_switches = 2;
+  cfg.base.controller.kv_capacity = 1 << 9;
+  FabricSession session(trace, MakeCountApp, cfg);
+  session.DriveUntil(60 * kMilli);
+  const std::vector<std::uint8_t> ctrl = session.SnapshotControllers();
+  // Move on, so a controller that took the stale checkpoint would differ.
+  session.DriveUntil(130 * kMilli);
+  auto saved = [&session] {
+    std::vector<std::vector<std::uint8_t>> out;
+    for (std::size_t i = 0; i < session.num_switches(); ++i) {
+      SnapshotWriter w;
+      session.controller(i).Save(w);
+      out.push_back(w.Take());
+    }
+    return out;
+  };
+  const std::vector<std::vector<std::uint8_t>> before = saved();
+  ASSERT_EQ(before.size(), 2u);
+  for (std::size_t len = 0; len < ctrl.size(); ++len) {
+    const std::vector<std::uint8_t> cut(ctrl.begin(), ctrl.begin() + len);
+    EXPECT_THROW((void)session.FailOver(cut, 130 * kMilli), SnapshotError)
+        << "cut at " << len;
+    ASSERT_EQ(saved(), before) << "cut at " << len << " committed";
+  }
+  EXPECT_FALSE(session.TakeoverCaughtUp());
+  (void)session.FailOver(ctrl, 130 * kMilli);
+  EXPECT_NE(saved(), before);
+}
+
 // --- shape-mismatch diagnostics --------------------------------------------
 
 TEST(Failover, ShapeMismatchNamesSectionAndCounts) {

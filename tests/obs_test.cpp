@@ -74,6 +74,29 @@ TEST(ObsHistogram, QuantileIsUpperBoundWithinOneBucket) {
   EXPECT_EQ(h.Quantile(1.0), std::uint64_t(1) << 20);
 }
 
+// Merging a LocalHistogram equals recording its samples one by one, on top
+// of samples the histogram already holds; an empty merge changes nothing.
+TEST(ObsHistogram, MergeEqualsRecordingEachSample) {
+  OW_OBS_REQUIRE_ENABLED();
+  Histogram direct;
+  Histogram merged;
+  direct.Record(7);
+  merged.Record(7);
+  LocalHistogram local;
+  for (const std::uint64_t v : {0ull, 1ull, 100ull, 5000ull, 1ull << 40}) {
+    direct.Record(v);
+    local.Record(v);
+  }
+  merged.Merge(local);
+  merged.Merge(LocalHistogram());
+  EXPECT_EQ(merged.count(), direct.count());
+  EXPECT_EQ(merged.sum(), direct.sum());
+  EXPECT_EQ(merged.max(), direct.max());
+  for (const double q : {0.0, 0.2, 0.5, 0.7, 0.9, 1.0}) {
+    EXPECT_EQ(merged.Quantile(q), direct.Quantile(q)) << "q=" << q;
+  }
+}
+
 TEST(ObsRegistry, InstrumentsAreStableAcrossLookupsAndReset) {
   OW_OBS_REQUIRE_ENABLED();
   Registry reg;

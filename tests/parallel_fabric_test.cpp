@@ -18,6 +18,7 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -286,6 +287,116 @@ TEST(ParallelFabric, CallerThreadHonorsHorizonAgainstIdOrder) {
     EXPECT_EQ(down_log->times.size(), 200u);
     EXPECT_TRUE(std::is_sorted(down_log->times.begin(), down_log->times.end()))
         << "switch 0 dispatched past an arrival its upstream had yet to send";
+  }
+}
+
+/// link.* totals: the registry's, or a sum over links' own counters.
+struct LinkTotals {
+  std::uint64_t transmitted = 0, dropped = 0, spiked = 0;
+  std::uint64_t delay_count = 0, delay_sum = 0;
+  bool operator==(const LinkTotals&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const LinkTotals& t) {
+    return os << "{transmitted " << t.transmitted << ", dropped " << t.dropped
+              << ", spiked " << t.spiked << ", delay count " << t.delay_count
+              << ", delay sum " << t.delay_sum << "}";
+  }
+};
+
+LinkTotals RegistryLinkTotals() {
+  obs::Registry& reg = obs::Global();
+  const obs::Histogram& delay = reg.GetHistogram("link.delay_ns");
+  return {reg.GetCounter("link.transmitted").value(),
+          reg.GetCounter("link.dropped").value(),
+          reg.GetCounter("link.spiked").value(), delay.count(), delay.sum()};
+}
+
+LinkTotals operator-(const LinkTotals& a, const LinkTotals& b) {
+  return {a.transmitted - b.transmitted, a.dropped - b.dropped,
+          a.spiked - b.spiked, a.delay_count - b.delay_count,
+          a.delay_sum - b.delay_sum};
+}
+
+/// Adds `link`'s counters. With zero jitter and no fault injector, each
+/// delivered hop's delay is latency, plus spike_extra when it spiked, so
+/// the delay histogram's count and sum follow from the counters exactly.
+void AddLink(LinkTotals& t, const Link& link, const LinkParams& params) {
+  t.transmitted += link.transmitted();
+  t.dropped += link.dropped();
+  t.spiked += link.spiked();
+  const std::uint64_t delivered = link.transmitted() - link.dropped();
+  t.delay_count += delivered;
+  t.delay_sum += delivered * std::uint64_t(params.latency) +
+                 link.spiked() * std::uint64_t(params.spike_extra);
+}
+
+/// Sum over every link a session drives: fabric, sink and report links.
+LinkTotals SessionLinkTotals(const FabricSession& session,
+                             const NetworkRunConfig& cfg) {
+  // FabricSession's sinks: 1 us, no jitter, loss or spikes.
+  const LinkParams sink{.latency = kMicro, .jitter = 0};
+  LinkTotals t;
+  for (const Network::LinkInfo& info : session.network().links()) {
+    AddLink(t, *info.link, info.to < 0 ? sink : cfg.link);
+  }
+  for (std::size_t i = 0; i < session.num_switches(); ++i) {
+    AddLink(t, session.report_link(i), cfg.report_link);
+  }
+  return t;
+}
+
+// Links publish their link.* totals once per drive call, not per packet.
+// Whenever RunUntilQuiescent, DriveUntil or Finish returns, the registry
+// must already hold every transmission: a flush deferred to the links'
+// destruction would leave the registry behind (and perfbench's
+// fabric.ns_per_hop, read from link.transmitted, at zero).
+TEST(ParallelFabric, LinkTelemetryIsPublishedWhenEachDriveReturns) {
+  const LinkParams lossy{.latency = 20 * kMicro,
+                         .jitter = 0,
+                         .loss_rate = 0.03,
+                         .spike_rate = 0.05,
+                         .spike_extra = 50 * kMicro};
+  const Trace trace = FabricTrace(1204);
+  for (const std::size_t threads : {0u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    {
+      // A bare network: two switches in a line and a sink.
+      const LinkTotals base = RegistryLinkTotals();
+      Network net;
+      Switch* a = net.AddSwitch();
+      Switch* b = net.AddSwitch();
+      a->SetProgram(std::make_shared<PassTimeLog>());
+      b->SetProgram(std::make_shared<PassTimeLog>());
+      const Link* ab = net.Connect(a, b, lossy);
+      const Link* out = net.ConnectToSink(b, lossy, [](Packet, Nanos) {});
+      for (const Packet& p : trace.packets) a->EnqueueFromWire(p, p.ts);
+      net.SetParallel({.threads = threads});
+      for (const Nanos t : {100 * kMilli, 400 * kMilli + kSecond}) {
+        net.RunUntilQuiescent(t);
+        LinkTotals want;
+        AddLink(want, *ab, lossy);
+        AddLink(want, *out, lossy);
+        EXPECT_EQ(RegistryLinkTotals() - base, want) << "after t=" << t;
+      }
+    }
+    NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/3, /*spines=*/2);
+    cfg.parallel.threads = threads;
+    cfg.link = lossy;
+    cfg.report_link = lossy;
+    cfg.report_link.latency = 2 * kMicro;
+    const LinkTotals base = RegistryLinkTotals();
+    FabricSession session(
+        trace, [](std::size_t) { return std::make_shared<ExactCountApp>(); },
+        cfg);
+    for (const Nanos t : {50 * kMilli, 150 * kMilli, 300 * kMilli}) {
+      session.DriveUntil(t);
+      EXPECT_EQ(RegistryLinkTotals() - base, SessionLinkTotals(session, cfg))
+          << "after DriveUntil(" << t << ")";
+    }
+    (void)session.Finish();
+    const LinkTotals got = RegistryLinkTotals() - base;
+    EXPECT_EQ(got, SessionLinkTotals(session, cfg)) << "after Finish";
+    EXPECT_GT(got.dropped, 0u);
+    EXPECT_GT(got.spiked, 0u);
   }
 }
 

@@ -751,6 +751,47 @@ TEST(FlowKeyDecode, ForgedKeyInProgramIsRejectedWithoutCommit) {
   ExpectEveryForgedKeyRejected(dst, clean, m.program, m.flow_keys);
 }
 
+// ExactCountApp writes its maps in key order, so the bytes depend on the
+// counts alone: not on insertion order, and not on whether the maps were
+// built by traffic or by a restore.
+TEST(ExactCountAppSnapshot, SaveLoadSaveReproducesBytes) {
+  auto state_of = [](ExactCountApp& app) {
+    SnapshotWriter w;
+    app.SaveState(w);
+    return w.Take();
+  };
+  ExactCountApp forward;
+  ExactCountApp backward;
+  for (std::uint32_t id = 1; id <= 600; ++id) {
+    Packet p;
+    p.ft.src_ip = id;
+    p.ft.dst_port = std::uint16_t(id % 7);
+    for (std::uint32_t n = 0; n <= id % 3; ++n) forward.Update(p, int(id % 2));
+    p.ft.src_ip = 601 - id;
+    p.ft.dst_port = std::uint16_t((601 - id) % 7);
+    for (std::uint32_t n = 0; n <= (601 - id) % 3; ++n) {
+      backward.Update(p, int((601 - id) % 2));
+    }
+  }
+  const std::vector<std::uint8_t> saved = state_of(forward);
+  EXPECT_EQ(state_of(backward), saved);
+  ExactCountApp restored;
+  SnapshotReader r(saved);
+  restored.LoadState(r);
+  EXPECT_EQ(state_of(restored), saved);
+}
+
+// The same through a whole program checkpoint mid-collection.
+TEST(ExactCountAppSnapshot, ProgramSaveLoadSaveReproducesBytes) {
+  const MidCollection m = DriveIntoCollection();
+  ASSERT_FALSE(m.program.empty());
+  OmniWindowConfig dp = m.cfg.base.data_plane;
+  dp.first_hop = true;
+  OmniWindowProgram dst(dp, std::make_shared<ExactCountApp>());
+  LoadBytes(dst, m.program);
+  EXPECT_EQ(SaveOf(dst), m.program);
+}
+
 // The same for a controller checkpoint: its table, finalized history,
 // pending records and key sets, and spilled keys.
 TEST(FlowKeyDecode, ForgedKeyInControllerIsRejectedWithoutCommit) {

@@ -519,6 +519,10 @@ LineAbResult RunLineAb(bool legacy_wiring, const Trace& trace) {
     out.link_tx.push_back(link->transmitted());
     out.link_drop.push_back(link->dropped());
   }
+  // Links publish their link.* totals when their owner flushes them; the
+  // network flushes its own at the end of every RunUntilQuiescent, so the
+  // legacy owner does the same before the registry is read.
+  for (const auto& link : legacy_links) link->FlushObs();
   std::ostringstream obs;
   obs::Global().WriteStatsJson(obs);
   out.obs_json = obs.str();
